@@ -3,10 +3,10 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"strings"
 
+	"vmsh/internal/digest"
 	"vmsh/internal/guestlib"
 	"vmsh/internal/guestos"
 	"vmsh/internal/hostsim"
@@ -299,16 +299,12 @@ func (s *Session) Detach() error {
 func (s *Session) RAMHashes() []uint64 {
 	out := make([]uint64, 0, len(s.pm.slots))
 	for _, sl := range s.pm.slots {
-		h := fnv.New64a()
+		var data []byte
 		if m, ok := s.target.AS.Find(sl.HVA); ok {
 			off := uint64(sl.HVA - m.HVA)
-			end := off + sl.Size
-			if end > uint64(len(m.Phys.Data)) {
-				end = uint64(len(m.Phys.Data))
-			}
-			h.Write(m.Phys.Data[off:end])
+			data = m.Phys.Data[off:min(off+sl.Size, uint64(len(m.Phys.Data)))]
 		}
-		out = append(out, h.Sum64())
+		out = append(out, digest.Sum(data))
 	}
 	return out
 }

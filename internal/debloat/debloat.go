@@ -201,11 +201,14 @@ func traceRun(m fsimage.Manifest, access []string) (map[string]bool, error) {
 	return traced, nil
 }
 
-// RunAll processes the whole catalog.
+// RunAll processes the whole catalog. Images are built one at a time,
+// so only the image under test is resident rather than the whole
+// multi-GB corpus; buildImage is seeded per name, so the results match
+// a run over BuildCatalog.
 func RunAll() ([]Result, error) {
 	var out []Result
-	for _, spec := range BuildCatalog() {
-		r, err := TraceAndStrip(spec)
+	for _, name := range imageNames {
+		r, err := TraceAndStrip(buildImage(name))
 		if err != nil {
 			return nil, err
 		}

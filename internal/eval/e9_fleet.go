@@ -22,6 +22,7 @@ import (
 
 	"vmsh/internal/blockdev"
 	"vmsh/internal/core"
+	"vmsh/internal/digest"
 	"vmsh/internal/engine"
 	"vmsh/internal/fsimage"
 	"vmsh/internal/hostsim"
@@ -206,13 +207,10 @@ func stormNetPair(h *hostsim.Host, img *hostsim.HostFile, name, store string, se
 	return nil
 }
 
-// foldRAM feeds the FNV-64a of every guest memslot into fold, in GPA
-// order.
+// foldRAM feeds every guest memslot's RAM hash into fold.
 func foldRAM(inst *hypervisor.Instance, fold func(uint64)) {
-	for _, s := range inst.VM.MemSlots() {
-		hh := fnv.New64a()
-		hh.Write(s.Phys.Data)
-		fold(hh.Sum64())
+	for _, h := range inst.VM.RAMHashes() {
+		fold(h)
 	}
 }
 
@@ -236,7 +234,7 @@ func fleetStormOnce(vms, shards, workers int, seed int64, store string, trace bo
 	digests := make([]uint64, shards)
 	for i := 0; i < shards; i++ {
 		i, p := i, plans[i]
-		fold := func(h uint64) { digests[i] = digests[i]*1099511628211 + h }
+		fold := func(h uint64) { digests[i] = digests[i]*digest.Prime + h }
 		var img *hostsim.HostFile
 		image := func(h *hostsim.Host) (*hostsim.HostFile, error) {
 			if img != nil {

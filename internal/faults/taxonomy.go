@@ -12,6 +12,8 @@ package faults
 import (
 	"errors"
 	"strings"
+
+	"vmsh/internal/digest"
 )
 
 // Tap-only crossing classes: observable by a Tap but never consulted
@@ -135,47 +137,6 @@ func (o Op) Root() string {
 	return s
 }
 
-// Digest is an incremental FNV-64a accumulator used to summarise
-// crossing arguments and results without retaining payload bytes. The
-// zero value is NOT ready to use; start from NewDigest.
-type Digest uint64
-
-const (
-	digestOffset Digest = 14695981039346656037
-	digestPrime  Digest = 1099511628211
-)
-
-// NewDigest returns the FNV-64a offset basis.
-func NewDigest() Digest { return digestOffset }
-
-// Byte folds one byte into the digest.
-func (d Digest) Byte(b byte) Digest { return (d ^ Digest(b)) * digestPrime }
-
-// Bytes folds a byte slice into the digest.
-func (d Digest) Bytes(p []byte) Digest {
-	for _, b := range p {
-		d = (d ^ Digest(b)) * digestPrime
-	}
-	return d
-}
-
-// U64 folds a 64-bit value (little-endian) into the digest.
-func (d Digest) U64(v uint64) Digest {
-	for i := 0; i < 8; i++ {
-		d = (d ^ Digest(byte(v))) * digestPrime
-		v >>= 8
-	}
-	return d
-}
-
-// Str folds a string into the digest.
-func (d Digest) Str(s string) Digest {
-	for i := 0; i < len(s); i++ {
-		d = (d ^ Digest(s[i])) * digestPrime
-	}
-	return d
-}
-
 // ErrClass maps a crossing error to its stable log classification:
 // "" for success, the lower-case sentinel name for injected faults
 // ("efault", "eintr", ...), "drop" for discarded payloads, and "err"
@@ -256,7 +217,7 @@ func (t *Taps) Active() bool {
 }
 
 // Crossing delivers one observation if the hub is active.
-func (t *Taps) Crossing(op Op, args, result Digest, err error) {
+func (t *Taps) Crossing(op Op, args, result digest.Digest, err error) {
 	if !t.Active() {
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"vmsh/internal/digest"
 	"vmsh/internal/faults"
 	"vmsh/internal/mem"
 	"vmsh/internal/vclock"
@@ -205,17 +206,17 @@ func (h *Host) processVMCommon(caller *Process, op string, targetPID, totalBytes
 func (h *Host) ProcessVMReadv(caller *Process, targetPID int, iovs []IoVec) error {
 	target, err := h.processVMCommon(caller, "readv", targetPID, IoVecTotal(iovs))
 	if err != nil {
-		h.taps.Crossing(faults.OpProcVMRead, iovArgs(targetPID, iovs), faults.NewDigest(), err)
+		h.taps.Crossing(faults.OpProcVMRead, iovArgs(targetPID, iovs), digest.New(), err)
 		return err
 	}
 	for _, v := range iovs {
 		if err := target.AS.read(v.HVA, v.Buf); err != nil {
-			h.taps.Crossing(faults.OpProcVMRead, iovArgs(targetPID, iovs), faults.NewDigest(), err)
+			h.taps.Crossing(faults.OpProcVMRead, iovArgs(targetPID, iovs), digest.New(), err)
 			return err
 		}
 	}
 	if h.taps.Active() {
-		res := faults.NewDigest()
+		res := digest.New()
 		for _, v := range iovs {
 			res = res.Bytes(v.Buf)
 		}
@@ -228,8 +229,8 @@ func (h *Host) ProcessVMReadv(caller *Process, targetPID int, iovs []IoVec) erro
 // vector count, and each (address, length) pair. Payload bytes go
 // into the result digest instead, so argument digests identify the
 // request even when the copy fails.
-func iovArgs(pid int, iovs []IoVec) faults.Digest {
-	d := faults.NewDigest().U64(uint64(pid)).U64(uint64(len(iovs)))
+func iovArgs(pid int, iovs []IoVec) digest.Digest {
+	d := digest.New().U64(uint64(pid)).U64(uint64(len(iovs)))
 	for _, v := range iovs {
 		d = d.U64(uint64(v.HVA)).U64(uint64(len(v.Buf)))
 	}
@@ -240,17 +241,17 @@ func iovArgs(pid int, iovs []IoVec) faults.Digest {
 func (h *Host) ProcessVMWritev(caller *Process, targetPID int, iovs []IoVec) error {
 	target, err := h.processVMCommon(caller, "writev", targetPID, IoVecTotal(iovs))
 	if err != nil {
-		h.taps.Crossing(faults.OpProcVMWrite, iovArgs(targetPID, iovs), faults.NewDigest(), err)
+		h.taps.Crossing(faults.OpProcVMWrite, iovArgs(targetPID, iovs), digest.New(), err)
 		return err
 	}
 	for _, v := range iovs {
 		if err := target.AS.write(v.HVA, v.Buf); err != nil {
-			h.taps.Crossing(faults.OpProcVMWrite, iovArgs(targetPID, iovs), faults.NewDigest(), err)
+			h.taps.Crossing(faults.OpProcVMWrite, iovArgs(targetPID, iovs), digest.New(), err)
 			return err
 		}
 	}
 	if h.taps.Active() {
-		res := faults.NewDigest()
+		res := digest.New()
 		for _, v := range iovs {
 			res = res.Bytes(v.Buf)
 		}

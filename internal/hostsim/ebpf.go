@@ -3,6 +3,7 @@ package hostsim
 import (
 	"fmt"
 
+	"vmsh/internal/digest"
 	"vmsh/internal/faults"
 )
 
@@ -24,11 +25,11 @@ func (h *Host) AttachKProbe(owner *Process, fnName string, fn func(data any)) (*
 		return nil, fmt.Errorf("bpf(PROG_LOAD) kprobe %s: %w", fnName, ErrPerm)
 	}
 	if err := h.Faults.Check(faults.OpKProbe); err != nil {
-		h.taps.Crossing(faults.OpKProbe, faults.NewDigest().Str(fnName), faults.NewDigest(), err)
+		h.taps.Crossing(faults.OpKProbe, digest.New().Str(fnName), digest.New(), err)
 		return nil, fmt.Errorf("bpf(PROG_LOAD) kprobe %s: %w", fnName, err)
 	}
 	owner.chargeSyscall()
-	h.taps.Crossing(faults.OpKProbe, faults.NewDigest().Str(fnName), faults.NewDigest().U64(1), nil)
+	h.taps.Crossing(faults.OpKProbe, digest.New().Str(fnName), digest.New().U64(1), nil)
 	p := &KProbe{Owner: owner, FnName: fnName, Fn: fn}
 	h.mu.Lock()
 	h.kprobes[fnName] = append(h.kprobes[fnName], p)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"vmsh/internal/digest"
 	"vmsh/internal/faults"
 	"vmsh/internal/mem"
 )
@@ -99,7 +100,7 @@ func (h *Host) ProcFDInfo(caller *Process, targetPID int) ([]FDInfo, error) {
 		return nil, ErrPerm
 	}
 	if err := h.Faults.Check(faults.OpProcFDInfo); err != nil {
-		h.taps.Crossing(faults.OpProcFDInfo, faults.NewDigest().U64(uint64(targetPID)), faults.NewDigest(), err)
+		h.taps.Crossing(faults.OpProcFDInfo, digest.New().U64(uint64(targetPID)), digest.New(), err)
 		return nil, err
 	}
 	caller.chargeSyscall()
@@ -108,11 +109,11 @@ func (h *Host) ProcFDInfo(caller *Process, targetPID int) ([]FDInfo, error) {
 		out = append(out, FDInfo{Num: e.Num, Link: e.FD.ProcLink()})
 	}
 	if h.taps.Active() {
-		res := faults.NewDigest()
+		res := digest.New()
 		for _, fi := range out {
 			res = res.U64(uint64(fi.Num)).Str(fi.Link)
 		}
-		h.taps.Crossing(faults.OpProcFDInfo, faults.NewDigest().U64(uint64(targetPID)), res, nil)
+		h.taps.Crossing(faults.OpProcFDInfo, digest.New().U64(uint64(targetPID)), res, nil)
 	}
 	return out, nil
 }

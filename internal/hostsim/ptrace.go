@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"vmsh/internal/arch"
+	"vmsh/internal/digest"
 	"vmsh/internal/faults"
 	"vmsh/internal/obs"
 )
@@ -26,7 +27,7 @@ type Tracer struct {
 // the kernel's rule: same uid or CAP_SYS_PTRACE.
 func (p *Process) Attach(target *Process) (*Tracer, error) {
 	if err := p.host.Faults.Check(faults.OpPtraceAttach); err != nil {
-		p.host.taps.Crossing(faults.OpPtraceAttach, faults.NewDigest().U64(uint64(target.PID)), faults.NewDigest(), err)
+		p.host.taps.Crossing(faults.OpPtraceAttach, digest.New().U64(uint64(target.PID)), digest.New(), err)
 		return nil, fmt.Errorf("ptrace attach pid %d: %w", target.PID, err)
 	}
 	if !mayAccess(p, target) {
@@ -40,7 +41,7 @@ func (p *Process) Attach(target *Process) (*Tracer, error) {
 	tr := &Tracer{host: p.host, self: p, target: target}
 	target.tracer = tr
 	p.host.Clock.Advance(p.host.Costs.Syscall)
-	p.host.taps.Crossing(faults.OpPtraceAttach, faults.NewDigest().U64(uint64(target.PID)), faults.NewDigest().U64(1), nil)
+	p.host.taps.Crossing(faults.OpPtraceAttach, digest.New().U64(uint64(target.PID)), digest.New().U64(1), nil)
 	return tr, nil
 }
 
@@ -61,7 +62,7 @@ func (tr *Tracer) InterruptAll() error {
 		return err
 	}
 	if err := tr.host.Faults.Check(faults.OpPtraceInterrupt); err != nil {
-		tr.host.taps.Crossing(faults.OpPtraceInterrupt, faults.NewDigest().U64(uint64(tr.target.PID)), faults.NewDigest(), err)
+		tr.host.taps.Crossing(faults.OpPtraceInterrupt, digest.New().U64(uint64(tr.target.PID)), digest.New(), err)
 		return err
 	}
 	sp := tr.host.trPtrace.Span("ptrace", "interrupt_all")
@@ -75,7 +76,7 @@ func (tr *Tracer) InterruptAll() error {
 	}
 	tr.host.ctrPtraceStops.Add(stops)
 	sp.End1("stops", stops)
-	tr.host.taps.Crossing(faults.OpPtraceInterrupt, faults.NewDigest().U64(uint64(tr.target.PID)), faults.NewDigest().U64(uint64(stops)), nil)
+	tr.host.taps.Crossing(faults.OpPtraceInterrupt, digest.New().U64(uint64(tr.target.PID)), digest.New().U64(uint64(stops)), nil)
 	return nil
 }
 
@@ -86,7 +87,7 @@ func (tr *Tracer) ResumeAll() error {
 		return err
 	}
 	if err := tr.host.Faults.Check(faults.OpPtraceResume); err != nil {
-		tr.host.taps.Crossing(faults.OpPtraceResume, faults.NewDigest().U64(uint64(tr.target.PID)), faults.NewDigest(), err)
+		tr.host.taps.Crossing(faults.OpPtraceResume, digest.New().U64(uint64(tr.target.PID)), digest.New(), err)
 		return err
 	}
 	sp := tr.host.trPtrace.Span("ptrace", "resume_all")
@@ -101,13 +102,13 @@ func (tr *Tracer) ResumeAll() error {
 	// The crossing is observed before OnResume so that nested
 	// crossings made by the continuing process (virtqueue passes of a
 	// re-entered KVM_RUN) appear after their cause in the log.
-	var res faults.Digest
+	var res digest.Digest
 	if resumed {
-		res = faults.NewDigest().U64(1)
+		res = digest.New().U64(1)
 	} else {
-		res = faults.NewDigest().U64(0)
+		res = digest.New().U64(0)
 	}
-	tr.host.taps.Crossing(faults.OpPtraceResume, faults.NewDigest().U64(uint64(tr.target.PID)), res, nil)
+	tr.host.taps.Crossing(faults.OpPtraceResume, digest.New().U64(uint64(tr.target.PID)), res, nil)
 	if resumed && tr.target.OnResume != nil {
 		tr.target.OnResume()
 	}
@@ -134,19 +135,19 @@ func (tr *Tracer) GetRegs(t *Thread) (Regs, error) {
 		return Regs{}, fmt.Errorf("tid %d: %w (not stopped)", t.TID, ErrNotTraced)
 	}
 	if err := tr.host.Faults.Check(faults.OpPtraceGetRegs); err != nil {
-		tr.host.taps.Crossing(faults.OpPtraceGetRegs, faults.NewDigest().U64(uint64(t.TID)), faults.NewDigest(), err)
+		tr.host.taps.Crossing(faults.OpPtraceGetRegs, digest.New().U64(uint64(t.TID)), digest.New(), err)
 		return Regs{}, err
 	}
 	tr.host.Clock.Advance(tr.host.Costs.Syscall)
-	tr.host.taps.Crossing(faults.OpPtraceGetRegs, faults.NewDigest().U64(uint64(t.TID)), regsDigest(&t.Regs), nil)
+	tr.host.taps.Crossing(faults.OpPtraceGetRegs, digest.New().U64(uint64(t.TID)), regsDigest(&t.Regs), nil)
 	return t.Regs, nil
 }
 
 // regsDigest summarises a register file for crossing records: the
 // control-flow registers of both ABIs, enough to pin divergence
 // without folding all 40+ fields.
-func regsDigest(r *Regs) faults.Digest {
-	return faults.NewDigest().
+func regsDigest(r *Regs) digest.Digest {
+	return digest.New().
 		U64(r.RIP).U64(r.RSP).U64(r.RAX).U64(r.RDI).
 		U64(r.PC).U64(r.SP).U64(r.X[0]).U64(r.X[8])
 }
@@ -160,12 +161,12 @@ func (tr *Tracer) SetRegs(t *Thread, r Regs) error {
 		return fmt.Errorf("tid %d: %w (not stopped)", t.TID, ErrNotTraced)
 	}
 	if err := tr.host.Faults.Check(faults.OpPtraceSetRegs); err != nil {
-		tr.host.taps.Crossing(faults.OpPtraceSetRegs, faults.NewDigest().U64(uint64(t.TID)), faults.NewDigest(), err)
+		tr.host.taps.Crossing(faults.OpPtraceSetRegs, digest.New().U64(uint64(t.TID)), digest.New(), err)
 		return err
 	}
 	tr.host.Clock.Advance(tr.host.Costs.Syscall)
 	t.Regs = r
-	tr.host.taps.Crossing(faults.OpPtraceSetRegs, faults.NewDigest().U64(uint64(t.TID)).U64(uint64(regsDigest(&r))), faults.NewDigest(), nil)
+	tr.host.taps.Crossing(faults.OpPtraceSetRegs, digest.New().U64(uint64(t.TID)).U64(uint64(regsDigest(&r))), digest.New(), nil)
 	return nil
 }
 
@@ -189,13 +190,13 @@ func (tr *Tracer) InjectSyscall(t *Thread, nr uint64, args ...uint64) (uint64, e
 	// records) can target e.g. only injected ioctls
 	// ("ptrace:inject:ioctl").
 	injOp := faults.OpPtraceInject + faults.Op(":"+SyscallName(nr))
-	injArgs := faults.NewDigest().U64(uint64(t.TID)).U64(nr)
+	injArgs := digest.New().U64(uint64(t.TID)).U64(nr)
 	for _, a := range args {
 		injArgs = injArgs.U64(a)
 	}
 	if f := tr.host.Faults; f != nil {
 		if err := f.Check(injOp); err != nil {
-			tr.host.taps.Crossing(injOp, injArgs, faults.NewDigest(), err)
+			tr.host.taps.Crossing(injOp, injArgs, digest.New(), err)
 			return 0, fmt.Errorf("injected %s: %w", SyscallName(nr), err)
 		}
 	}
@@ -239,7 +240,7 @@ func (tr *Tracer) InjectSyscall(t *Thread, nr uint64, args ...uint64) (uint64, e
 
 	t.Regs = saved
 	sp.End()
-	tr.host.taps.Crossing(injOp, injArgs, faults.NewDigest().U64(ret), err)
+	tr.host.taps.Crossing(injOp, injArgs, digest.New().U64(ret), err)
 	if err != nil {
 		return 0, fmt.Errorf("injected %s: %w", SyscallName(nr), err)
 	}

@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"vmsh/internal/arch"
+	"vmsh/internal/digest"
 	"vmsh/internal/faults"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/mem"
@@ -286,6 +287,19 @@ func (vm *VM) MemSlots() []*MemSlot {
 	return out
 }
 
+// RAMHashes returns the FNV-64a of every memslot's bytes in slot-number
+// order: the per-memslot RAM hash that snapshots, restores and the
+// E8/E9 determinism digests compare.
+func (vm *VM) RAMHashes() []uint64 {
+	slots := vm.MemSlots()
+	sort.Slice(slots, func(i, j int) bool { return slots[i].Slot < slots[j].Slot })
+	out := make([]uint64, len(slots))
+	for i, s := range slots {
+		out[i] = digest.Sum(s.Phys.Data)
+	}
+	return out
+}
+
 // slotInfo builds the kprobe payload.
 func (vm *VM) slotInfo() []MemSlotInfo {
 	var out []MemSlotInfo
@@ -409,8 +423,8 @@ func (vm *VM) dispatchMMIO(gpa mem.GPA, size int, write bool, value uint64) uint
 			w = 1
 		}
 		t.Crossing(faults.OpKVMMMIO,
-			faults.NewDigest().U64(uint64(gpa)).U64(uint64(size)).U64(w).U64(value),
-			faults.NewDigest().U64(ret), nil)
+			digest.New().U64(uint64(gpa)).U64(uint64(size)).U64(w).U64(value),
+			digest.New().U64(ret), nil)
 	}
 	return ret
 }

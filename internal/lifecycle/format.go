@@ -1,18 +1,18 @@
-// Snapshot file format: the replay-log conventions (line-JSON, an
-// FNV-64a checksum chain seeded by the header and sealed by the
-// footer) applied to whole-VM state. Every line is one JSON object;
-// the first is the header, the last the footer, and everything in
-// between is a typed record ("t" field). Encoding the same Snapshot
+// Snapshot file format: the shared checksum-chained line-JSON framing
+// of internal/chainlog (magic "vmsh-snap", version 2) applied to
+// whole-VM state. The header carries the label and capture vtime;
+// every body line is a typed record ("t" field) and the last one is the
+// footer with the per-memslot RAM hashes. Encoding the same Snapshot
 // twice yields byte-identical output.
 package lifecycle
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
-	"vmsh/internal/faults"
+	"vmsh/internal/chainlog"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/hypervisor"
 	"vmsh/internal/kvm"
@@ -23,7 +23,7 @@ import (
 const Magic = "vmsh-snap"
 
 // Version is the current snapshot format version.
-const Version = 1
+const Version = 2
 
 // Snapshot is a decoded whole-VM snapshot: enough to reconstruct the
 // VM byte-for-byte on any simulated host. RAM and disk content are
@@ -98,15 +98,16 @@ type SessionState struct {
 	Blocks    []BlockRecord
 }
 
-// snapLine is the union wire record; "t" selects the populated arm.
+// snapHeader is the header's members after magic and version.
+type snapHeader struct {
+	Label string `json:"label"`
+	VTime int64  `json:"vtime"`
+}
+
+// snapLine is the union wire record of body lines; "t" selects the
+// populated arm.
 type snapLine struct {
 	T string `json:"t"`
-
-	// header
-	Magic   string `json:"magic,omitempty"`
-	Version int    `json:"v,omitempty"`
-	Label   string `json:"label,omitempty"`
-	VTime   int64  `json:"vtime,omitempty"`
 
 	// config
 	Config *hypervisor.Config `json:"config,omitempty"`
@@ -130,169 +131,84 @@ type snapLine struct {
 	Trap    int    `json:"trap,omitempty"`
 
 	// footer
-	Records   int      `json:"records,omitempty"`
 	RAMHashes []uint64 `json:"ram,omitempty"`
-	Chain     string   `json:"ck,omitempty"`
-}
-
-// snapChain folds one emitted line into the checksum chain, exactly
-// like the replay log's record chaining.
-func snapChain(prev uint64, content string) uint64 {
-	return uint64(faults.NewDigest().U64(prev).Str(content))
-}
-
-func hex16(v uint64) string {
-	const digits = "0123456789abcdef"
-	var buf [16]byte
-	for i := 15; i >= 0; i-- {
-		buf[i] = digits[v&0xf]
-		v >>= 4
-	}
-	return string(buf[:])
 }
 
 // WriteTo encodes the snapshot in canonical form. It implements
-// io.WriterTo; the byte count is best-effort (bufio owns the writes).
+// io.WriterTo.
 func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var written int64
-	ck := uint64(0)
-	n := 0
-	emit := func(l snapLine) error {
-		b, err := json.Marshal(l)
-		if err != nil {
-			return err
-		}
-		ck = snapChain(ck, string(b))
-		n++
-		m, err := bw.WriteString(string(b) + "\n")
-		written += int64(m)
-		return err
-	}
-
-	if err := emit(snapLine{T: "header", Magic: Magic, Version: Version, Label: s.Label, VTime: s.VTime}); err != nil {
-		return written, err
+	hdr, err := json.Marshal(snapHeader{Label: s.Label, VTime: s.VTime})
+	if err != nil {
+		return 0, err
 	}
 	cfg := s.Config
-	if err := emit(snapLine{T: "config", Config: &cfg}); err != nil {
-		return written, err
-	}
+	lines := []snapLine{{T: "config", Config: &cfg}}
 	for i := range s.VCPUs {
-		if err := emit(snapLine{T: "vcpu", VCPU: &s.VCPUs[i]}); err != nil {
-			return written, err
-		}
+		lines = append(lines, snapLine{T: "vcpu", VCPU: &s.VCPUs[i]})
 	}
 	for i := range s.Cursors {
-		if err := emit(snapLine{T: "cursors", Cursors: &s.Cursors[i]}); err != nil {
-			return written, err
-		}
+		lines = append(lines, snapLine{T: "cursors", Cursors: &s.Cursors[i]})
 	}
 	for _, p := range s.Pages {
-		if err := emit(snapLine{T: "page", Slot: p.Slot, Index: p.Index, Data: p.Data}); err != nil {
-			return written, err
-		}
+		lines = append(lines, snapLine{T: "page", Slot: p.Slot, Index: p.Index, Data: p.Data})
 	}
 	for _, d := range s.Disks {
-		if err := emit(snapLine{T: "disk", Disk: d.Name, Size: d.Size}); err != nil {
-			return written, err
-		}
+		lines = append(lines, snapLine{T: "disk", Disk: d.Name, Size: d.Size})
 		for _, b := range d.Blocks {
-			if err := emit(snapLine{T: "block", Disk: d.Name, Index: b.Index, Data: b.Data}); err != nil {
-				return written, err
-			}
+			lines = append(lines, snapLine{T: "block", Disk: d.Name, Index: b.Index, Data: b.Data})
 		}
 	}
-	if s.Session != nil {
-		if err := emit(snapLine{T: "session", Image: s.Session.ImageName, Size: s.Session.ImageSize,
-			Storage: s.Session.Storage, Trap: s.Session.Trap}); err != nil {
-			return written, err
-		}
-		for _, b := range s.Session.Blocks {
-			if err := emit(snapLine{T: "simage", Index: b.Index, Data: b.Data}); err != nil {
-				return written, err
-			}
+	if ss := s.Session; ss != nil {
+		lines = append(lines, snapLine{T: "session", Image: ss.ImageName, Size: ss.ImageSize, Storage: ss.Storage, Trap: ss.Trap})
+		for _, b := range ss.Blocks {
+			lines = append(lines, snapLine{T: "simage", Index: b.Index, Data: b.Data})
 		}
 	}
-	// The footer's own line is excluded from the chain it seals.
-	foot := snapLine{T: "footer", Records: n, RAMHashes: s.RAMHashes, Chain: hex16(ck)}
-	b, err := json.Marshal(foot)
-	if err != nil {
-		return written, err
+	lines = append(lines, snapLine{T: "footer", RAMHashes: s.RAMHashes})
+
+	cw, err := chainlog.NewWriter(w, Magic, Version, hdr)
+	for i := 0; err == nil && i < len(lines); i++ {
+		var b []byte
+		if b, err = json.Marshal(lines[i]); err == nil {
+			err = cw.Line(b)
+		}
 	}
-	m, err := bw.WriteString(string(b) + "\n")
-	written += int64(m)
-	if err != nil {
-		return written, err
+	n, ferr := cw.Flush()
+	if err == nil {
+		err = ferr
 	}
-	return written, bw.Flush()
+	return n, err
 }
 
 // Read decodes and integrity-checks a snapshot stream. A magic or
 // version mismatch returns a plain error (the caller has the wrong
-// kind of file); structural damage — a broken checksum chain, a
-// truncated stream, an out-of-place record — wraps
-// ErrSnapshotCorrupt.
+// kind of file); framing damage (see chainlog) and an out-of-place
+// record wrap ErrSnapshotCorrupt.
 func Read(r io.Reader) (*Snapshot, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-
 	corrupt := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrSnapshotCorrupt, fmt.Sprintf(format, args...))
 	}
-
-	if !sc.Scan() {
-		return nil, corrupt("empty snapshot stream")
-	}
-	hdrLine := sc.Text()
-	var hdr snapLine
-	if err := json.Unmarshal([]byte(hdrLine), &hdr); err != nil {
-		return nil, corrupt("bad header: %v", err)
-	}
-	if hdr.Magic != Magic {
-		return nil, fmt.Errorf("lifecycle: not a vmsh snapshot (magic %q)", hdr.Magic)
-	}
-	if hdr.Version != Version {
-		return nil, fmt.Errorf("lifecycle: snapshot version %d not supported (want %d)", hdr.Version, Version)
-	}
-
-	s := &Snapshot{Label: hdr.Label, VTime: hdr.VTime}
-	ck := snapChain(0, hdrLine)
-	n := 1
+	s := &Snapshot{}
 	diskByName := map[string]int{}
-	sawFooter := false
-	for sc.Scan() {
-		line := sc.Text()
+	hdr, err := chainlog.Read(r, Magic, Version, func(b []byte) (bool, error) {
 		var l snapLine
-		if err := json.Unmarshal([]byte(line), &l); err != nil {
-			return nil, corrupt("record %d: %v", n, err)
+		if err := json.Unmarshal(b, &l); err != nil {
+			return false, corrupt("%v", err)
 		}
-		if l.T == "footer" {
-			if l.Records != n {
-				return nil, corrupt("footer claims %d records, stream has %d", l.Records, n)
-			}
-			if l.Chain != hex16(ck) {
-				return nil, corrupt("checksum chain mismatch (stream modified?)")
-			}
-			s.RAMHashes = l.RAMHashes
-			sawFooter = true
-			break
-		}
-		ck = snapChain(ck, line)
-		n++
 		switch l.T {
 		case "config":
 			if l.Config == nil {
-				return nil, corrupt("config record without payload")
+				return false, corrupt("config record without payload")
 			}
 			s.Config = *l.Config
 		case "vcpu":
 			if l.VCPU == nil {
-				return nil, corrupt("vcpu record without payload")
+				return false, corrupt("vcpu record without payload")
 			}
 			s.VCPUs = append(s.VCPUs, *l.VCPU)
 		case "cursors":
 			if l.Cursors == nil {
-				return nil, corrupt("cursors record without payload")
+				return false, corrupt("cursors record without payload")
 			}
 			s.Cursors = append(s.Cursors, *l.Cursors)
 		case "page":
@@ -303,25 +219,35 @@ func Read(r io.Reader) (*Snapshot, error) {
 		case "block":
 			i, ok := diskByName[l.Disk]
 			if !ok {
-				return nil, corrupt("block for undeclared disk %q", l.Disk)
+				return false, corrupt("block for undeclared disk %q", l.Disk)
 			}
 			s.Disks[i].Blocks = append(s.Disks[i].Blocks, BlockRecord{Index: l.Index, Data: l.Data})
 		case "session":
 			s.Session = &SessionState{ImageName: l.Image, ImageSize: l.Size, Storage: l.Storage, Trap: l.Trap}
 		case "simage":
 			if s.Session == nil {
-				return nil, corrupt("simage block before session record")
+				return false, corrupt("simage block before session record")
 			}
 			s.Session.Blocks = append(s.Session.Blocks, BlockRecord{Index: l.Index, Data: l.Data})
+		case "footer":
+			s.RAMHashes = l.RAMHashes
+			return true, nil
 		default:
-			return nil, corrupt("record %d: unknown type %q", n, l.T)
+			return false, corrupt("unknown record type %q", l.T)
 		}
+		return false, nil
+	})
+	var ce *chainlog.Error
+	if errors.As(err, &ce) {
+		return nil, fmt.Errorf("%w: %w", ErrSnapshotCorrupt, err)
 	}
-	if err := sc.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	if !sawFooter {
-		return nil, corrupt("truncated snapshot: no footer")
+	var h snapHeader
+	if err := json.Unmarshal(hdr, &h); err != nil {
+		return nil, corrupt("bad header: %v", err)
 	}
+	s.Label, s.VTime = h.Label, h.VTime
 	return s, nil
 }

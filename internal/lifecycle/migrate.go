@@ -2,11 +2,13 @@ package lifecycle
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"time"
 
 	"vmsh/internal/core"
+	"vmsh/internal/digest"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/hypervisor"
 	"vmsh/internal/mem"
@@ -310,9 +312,9 @@ func (r *Result) Drain() error {
 		}
 		return nil
 	}
-	for _, slot := range sortedSlots(m.pending) {
+	for _, slot := range sortedKeys(m.pending) {
 		set := m.pending[slot]
-		idxs := sortedIdxs(set)
+		idxs := sortedKeys(set)
 		for _, idx := range idxs {
 			m.fetchPage(slot, idx)
 			r.PagesDrained++
@@ -349,7 +351,7 @@ func (r *Result) Verify() error {
 		if !ok {
 			continue
 		}
-		sh, dh := hashBytes(sl.Phys.Data), hashBytes(dp.Data)
+		sh, dh := digest.Sum(sl.Phys.Data), digest.Sum(dp.Data)
 		r.SrcHashes = append(r.SrcHashes, sh)
 		r.DstHashes = append(r.DstHashes, dh)
 		if sh != dh {
@@ -371,7 +373,7 @@ func (m *migration) verifyAtResume() error {
 		if !ok {
 			continue
 		}
-		sh := hashBytes(sl.Phys.Data)
+		sh := digest.Sum(sl.Phys.Data)
 		dh := hashWithPending(dp.Data, sl.Phys.Data, m.pending[sl.Slot])
 		m.res.SrcHashes = append(m.res.SrcHashes, sh)
 		m.res.DstHashes = append(m.res.DstHashes, dh)
@@ -463,7 +465,7 @@ func (m *migration) syncDirty(skip map[uint32]map[uint64]bool) (int, error) {
 			if off >= uint64(len(sp.Data)) {
 				continue
 			}
-			end := min64(off+PageSize, uint64(len(sp.Data)))
+			end := min(off+PageSize, uint64(len(sp.Data)))
 			copy(dp.Data[off:end], sp.Data[off:end])
 			moved++
 		}
@@ -555,7 +557,7 @@ func (m *migration) fetchPage(slot uint32, idx uint64) {
 	if ok1 && ok2 {
 		off := idx * PageSize
 		if off < uint64(len(sp.Data)) {
-			end := min64(off+PageSize, uint64(len(sp.Data)))
+			end := min(off+PageSize, uint64(len(sp.Data)))
 			copy(dp.Data[off:end], sp.Data[off:end])
 			m.charge(int(end-off) + 16)
 		}
@@ -577,42 +579,26 @@ func (m *migration) disarmPager() {
 // hash of dst).
 func hashWithPending(dst, src []byte, pending map[uint64]bool) uint64 {
 	if len(pending) == 0 {
-		return hashBytes(dst)
+		return digest.Sum(dst)
 	}
-	h := fnv.New64a()
+	var parts [][]byte
 	for off := uint64(0); off < uint64(len(dst)); off += PageSize {
-		end := min64(off+PageSize, uint64(len(dst)))
+		end := min(off+PageSize, uint64(len(dst)))
 		if pending[off/PageSize] && end <= uint64(len(src)) {
-			h.Write(src[off:end])
+			parts = append(parts, src[off:end])
 		} else {
-			h.Write(dst[off:end])
+			parts = append(parts, dst[off:end])
 		}
 	}
-	return h.Sum64()
+	return digest.Sum(parts...)
 }
 
-func sortedSlots(m map[uint32]map[uint64]bool) []uint32 {
-	out := make([]uint32, 0, len(m))
-	for s := range m {
-		out = append(out, s)
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
-}
-
-func sortedIdxs(set map[uint64]bool) []uint64 {
-	out := make([]uint64, 0, len(set))
-	for i := range set {
-		out = append(out, i)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	slices.Sort(out)
 	return out
 }

@@ -16,7 +16,6 @@ package lifecycle
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"vmsh/internal/core"
@@ -85,7 +84,7 @@ func Take(inst *hypervisor.Instance, o TakeOpts) (*Snapshot, error) {
 	for _, sl := range slotsByNum(inst) {
 		data := sl.Phys.Data
 		for off := uint64(0); off < uint64(len(data)); off += PageSize {
-			pg := data[off:min64(off+PageSize, uint64(len(data)))]
+			pg := data[off:min(off+PageSize, uint64(len(data)))]
 			if !allZero(pg) {
 				s.Pages = append(s.Pages, PageRecord{
 					Slot: sl.Slot, Index: off / PageSize,
@@ -93,8 +92,8 @@ func Take(inst *hypervisor.Instance, o TakeOpts) (*Snapshot, error) {
 				})
 			}
 		}
-		s.RAMHashes = append(s.RAMHashes, hashBytes(data))
 	}
+	s.RAMHashes = inst.VM.RAMHashes()
 
 	for _, name := range diskNames(inst.Cfg) {
 		f, err := inst.Host.OpenFile(hypervisor.ImageFileName(inst.Cfg.Name, name))
@@ -135,15 +134,15 @@ func Restore(h *hostsim.Host, s *Snapshot, o RestoreOpts) (*hypervisor.Instance,
 		slots[sl.Slot] = sl.Phys
 	}
 	for _, p := range slots {
-		zero(p.Data)
+		clear(p.Data)
 	}
 	for _, pg := range s.Pages {
 		p, ok := slots[pg.Slot]
 		if !ok {
 			return nil, nil, fmt.Errorf("lifecycle restore: %w: page for unknown memslot %d", ErrSnapshotCorrupt, pg.Slot)
 		}
-		off := pg.Index * PageSize
-		if off+uint64(len(pg.Data)) > uint64(len(p.Data)) {
+		off, ok := unitOffset(pg.Index, len(pg.Data), len(p.Data))
+		if !ok {
 			return nil, nil, fmt.Errorf("lifecycle restore: %w: page %d outside slot %d", ErrSnapshotCorrupt, pg.Index, pg.Slot)
 		}
 		copy(p.Data[off:], pg.Data)
@@ -151,7 +150,7 @@ func Restore(h *hostsim.Host, s *Snapshot, o RestoreOpts) (*hypervisor.Instance,
 
 	for _, vs := range s.VCPUs {
 		vcpus := inst.VM.VCPUs()
-		if vs.Index >= len(vcpus) {
+		if vs.Index < 0 || vs.Index >= len(vcpus) {
 			return nil, nil, fmt.Errorf("lifecycle restore: %w: vcpu %d not present after relaunch", ErrSnapshotCorrupt, vs.Index)
 		}
 		vcpus[vs.Index].SetRegs(vs.Regs)
@@ -168,10 +167,10 @@ func Restore(h *hostsim.Host, s *Snapshot, o RestoreOpts) (*hypervisor.Instance,
 			return nil, nil, fmt.Errorf("lifecycle restore: disk %s: %w", d.Name, err)
 		}
 		data := f.Bytes()
-		zero(data)
+		clear(data)
 		for _, b := range d.Blocks {
-			off := b.Index * PageSize
-			if off+uint64(len(b.Data)) > uint64(len(data)) {
+			off, ok := unitOffset(b.Index, len(b.Data), len(data))
+			if !ok {
 				return nil, nil, fmt.Errorf("lifecycle restore: %w: block %d outside disk %s", ErrSnapshotCorrupt, b.Index, d.Name)
 			}
 			copy(data[off:], b.Data)
@@ -179,18 +178,25 @@ func Restore(h *hostsim.Host, s *Snapshot, o RestoreOpts) (*hypervisor.Instance,
 	}
 
 	// Cross-check: the rebuilt RAM must hash exactly as captured.
-	for i, sl := range slotsByNum(inst) {
-		if i < len(s.RAMHashes) && hashBytes(sl.Phys.Data) != s.RAMHashes[i] {
-			return nil, nil, fmt.Errorf("lifecycle restore: %w: memslot %d", ErrRAMDiverged, sl.Slot)
+	for i, h := range inst.VM.RAMHashes() {
+		if i < len(s.RAMHashes) && h != s.RAMHashes[i] {
+			return nil, nil, fmt.Errorf("lifecycle restore: %w: memslot #%d", ErrRAMDiverged, i)
 		}
 	}
 
 	var sess *core.Session
 	if s.Session != nil && !o.SkipReattach {
+		if s.Session.ImageSize < 0 {
+			return nil, nil, fmt.Errorf("lifecycle restore: %w: negative session image size %d", ErrSnapshotCorrupt, s.Session.ImageSize)
+		}
 		img := h.CreateFile(s.Session.ImageName, s.Session.ImageSize, false)
 		data := img.Bytes()
 		for _, b := range s.Session.Blocks {
-			copy(data[b.Index*PageSize:], b.Data)
+			off, ok := unitOffset(b.Index, len(b.Data), len(data))
+			if !ok {
+				return nil, nil, fmt.Errorf("lifecycle restore: %w: block %d outside session image", ErrSnapshotCorrupt, b.Index)
+			}
+			copy(data[off:], b.Data)
 		}
 		sess, err = core.New(h).Attach(inst.Proc.PID, core.Options{
 			Image:   img,
@@ -286,7 +292,7 @@ type kvmSlot struct {
 func sparseBlocks(data []byte) []BlockRecord {
 	var out []BlockRecord
 	for off := uint64(0); off < uint64(len(data)); off += PageSize {
-		b := data[off:min64(off+PageSize, uint64(len(data)))]
+		b := data[off:min(off+PageSize, uint64(len(data)))]
 		if !allZero(b) {
 			out = append(out, BlockRecord{Index: off / PageSize, Data: append([]byte(nil), b...)})
 		}
@@ -311,21 +317,13 @@ func allZero(b []byte) bool {
 	return true
 }
 
-func zero(b []byte) {
-	for i := range b {
-		b[i] = 0
+// unitOffset returns the byte offset of PageSize unit idx and whether n
+// bytes written there fit in a size-byte buffer. idx is bounded before
+// the multiply so a hostile index cannot wrap past the check.
+func unitOffset(idx uint64, n, size int) (uint64, bool) {
+	if idx > uint64(size)/PageSize {
+		return 0, false
 	}
-}
-
-func hashBytes(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
+	off := idx * PageSize
+	return off, off+uint64(n) <= uint64(size)
 }

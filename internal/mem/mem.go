@@ -48,8 +48,7 @@ type Phys struct {
 
 // SetWriteHook arms (or, with nil, clears) the slab's single store
 // observer. The slot holds ONE observer — a second SetWriteHook
-// replaces the first — matching the single-owner contract of
-// vclock.Clock.SetOnAdvance: exactly one dirty tracker per slab.
+// replaces the first: exactly one dirty tracker per slab.
 func (p *Phys) SetWriteHook(fn func(gpa GPA, n int)) { p.onWrite = fn }
 
 // SetAccessHook arms (or clears) the slab's single access observer,

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"time"
 
+	"vmsh/internal/digest"
 	"vmsh/internal/faults"
 	"vmsh/internal/obs"
 	"vmsh/internal/vclock"
@@ -208,8 +209,8 @@ func (s *Switch) tapLink(out *Port, frame []byte, err error) {
 		return
 	}
 	s.taps.Crossing(faults.OpNetLink,
-		faults.NewDigest().U64(uint64(out.id)).U64(uint64(len(frame))),
-		faults.NewDigest().Bytes(frame), err)
+		digest.New().U64(uint64(out.id)).U64(uint64(len(frame))),
+		digest.New().Bytes(frame), err)
 }
 
 // NewPort attaches a new device to the switch.

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vmsh/internal/chainlog/chainlogtest"
 )
 
 // sampleLog is a small, fully valid log touching several crossing
@@ -168,56 +170,27 @@ func TestVersionSkew(t *testing.T) {
 }
 
 // TestCorruptionDivergence: every kind of damage decodes to a
-// *Divergence naming the first bad element.
+// *Divergence naming the first bad element — framing damage through
+// the shared chainlog contract, semantic damage through the log's own
+// validators.
 func TestCorruptionDivergence(t *testing.T) {
-	base := encode(t, sampleLog())
-	lines := strings.Split(strings.TrimSuffix(string(base), "\n"), "\n")
-
-	cases := []struct {
-		name   string
-		mutate func() string
-		reason string
-	}{
-		{"flipped byte in record", func() string {
-			b := append([]byte(nil), base...)
-			b[len(b)/2] ^= 0x01
-			return string(b)
-		}, ""},
-		{"deleted record line", func() string {
-			return strings.Join(append(append([]string{}, lines[:3]...), lines[4:]...), "\n") + "\n"
-		}, ""},
-		{"swapped record lines", func() string {
-			l := append([]string{}, lines...)
-			l[2], l[3] = l[3], l[2]
-			return strings.Join(l, "\n") + "\n"
-		}, "checksum chain"},
-		{"truncated (no footer)", func() string {
-			return strings.Join(lines[:len(lines)-1], "\n") + "\n"
-		}, "truncated"},
-		{"trailing data after footer", func() string {
-			return string(base) + lines[1] + "\n"
-		}, "trailing"},
-		{"not json", func() string {
-			l := append([]string{}, lines...)
-			l[1] = "not json at all"
-			return strings.Join(l, "\n") + "\n"
-		}, "unparseable"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := Read(strings.NewReader(tc.mutate()))
-			if err == nil {
-				t.Fatal("corrupted log accepted")
+	skew := sampleLog()
+	skew.Version = Version + 1
+	chainlogtest.Run(t, chainlogtest.Codec{
+		Sample: encode(t, sampleLog()),
+		Skew:   encode(t, skew),
+		Reencode: func(b []byte) ([]byte, error) {
+			lg, err := Read(bytes.NewReader(b))
+			if err != nil {
+				return nil, err
 			}
+			return mustEncode(lg), nil
+		},
+		Corrupt: func(err error) bool {
 			var div *Divergence
-			if !errors.As(err, &div) {
-				t.Fatalf("corruption not reported as *Divergence: %T %v", err, err)
-			}
-			if tc.reason != "" && !strings.Contains(div.Reason, tc.reason) {
-				t.Fatalf("reason %q does not mention %q", div.Reason, tc.reason)
-			}
-		})
-	}
+			return errors.As(err, &div)
+		},
+	})
 
 	// Semantic damage that keeps the file well-formed (checksums
 	// recomputed by Encode) is caught by the structural validators.

@@ -7,6 +7,8 @@ package storage
 // xfstests accounting families see identical numbers — the physical
 // savings are exposed separately through DedupStats.
 
+import "vmsh/internal/digest"
+
 // casStore dedups pages by FNV-64a content hash with refcounting.
 // References handed to memNode are dense ids mapping to hash buckets,
 // so the hole convention (ref 0) is preserved.
@@ -28,14 +30,7 @@ func newCasStore() *casStore {
 }
 
 // pageHash is FNV-64a over the page content.
-func pageHash(data []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
-}
+func pageHash(data []byte) uint64 { return uint64(digest.New().Bytes(data)) }
 
 func (s *casStore) write(old uint64, data []byte) uint64 {
 	h := pageHash(data)

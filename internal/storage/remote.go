@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"vmsh/internal/digest"
 	"vmsh/internal/faults"
 	"vmsh/internal/vclock"
 )
@@ -55,8 +56,8 @@ func (l *RemoteLink) xfer(op faults.Op, key string, payload []byte) error {
 	}
 	err := l.Faults.Check(op)
 	if l.Taps.Active() {
-		args := faults.NewDigest().Str(string(op)).Str(key).U64(uint64(len(payload)))
-		result := faults.NewDigest()
+		args := digest.New().Str(string(op)).Str(key).U64(uint64(len(payload)))
+		result := digest.New()
 		if err == nil {
 			result = result.Bytes(payload)
 		}

@@ -17,7 +17,7 @@ package virtio
 // next doorbell, exactly as a real device sees a stale index until
 // the next notification.
 
-import "vmsh/internal/faults"
+import "vmsh/internal/digest"
 
 // serveFn handles one popped chain. It returns the used-ring length,
 // an optional side effect to run only after the completion has been
@@ -46,8 +46,8 @@ func serviceQueue(dev *MMIODev, q int, batch bool, serve serveFn, serveBatch ser
 	// granularity at which the fault plane intercepts the data path.
 	if dev.Taps.Active() && dev.TapOp != "" {
 		dev.Taps.Crossing(dev.TapOp,
-			faults.NewDigest().U64(uint64(dev.ID)).U64(uint64(q)),
-			faults.NewDigest().U64(uint64(served)), nil)
+			digest.New().U64(uint64(dev.ID)).U64(uint64(q)),
+			digest.New().U64(uint64(served)), nil)
 	}
 }
 

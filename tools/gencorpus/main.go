@@ -119,6 +119,20 @@ func main() {
 		marshal([]byte{}),
 	})
 
+	// lifecycle: the golden v2 snapshot, the same with data after the
+	// footer, a v1 header (version skew), and junk.
+	snap, err := os.ReadFile("internal/lifecycle/testdata/golden_v2.snap")
+	if err != nil {
+		log.Fatal(err)
+	}
+	writeCorpus("internal/lifecycle/testdata/fuzz/FuzzSnapshotRead", [][]byte{
+		marshal(snap),
+		marshal(append(append([]byte(nil), snap...), snap...)),
+		marshal([]byte(`{"magic":"vmsh-snap","v":1,"label":"old","vtime":0}` + "\n")),
+		marshal([]byte("not a snapshot")),
+		marshal([]byte{}),
+	})
+
 	// virtio: well-formed rings from the real driver side plus hostile bytes.
 	allOnes := make([]byte, 256)
 	for i := range allOnes {
