@@ -291,7 +291,6 @@ func (s *Session) setupDevices(tx *attachTx, scratch uint64, opts Options) error
 	if opts.Storage != "" && opts.Storage != "file" {
 		st, err := storage.OpenBlock(opts.Storage, storage.Config{
 			Base:   store,
-			Size:   image.Size(),
 			Clock:  h.Clock,
 			Costs:  h.Costs,
 			Faults: h.Faults,

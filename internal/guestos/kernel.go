@@ -284,10 +284,10 @@ func Boot(cfg Config) (*Kernel, error) {
 		}
 	}
 
-	// VFS: a ramfs root until/unless a root image is mounted, plus
-	// /dev, /tmp and a live /proc.
+	// VFS: an in-memory root until/unless a root image is mounted,
+	// plus /dev, /tmp and a live /proc.
 	k.rootNS = k.newNamespace()
-	k.rootNS.mounts = []*Mount{{Path: "/", FS: newRAMFS()}}
+	k.rootNS.mounts = []*Mount{{Path: "/", FS: NewRootFS()}}
 	for _, dir := range []string{"/dev", "/tmp", "/etc", "/proc", "/var"} {
 		if err := k.mkdirAll(k.rootNS, dir); err != nil {
 			return nil, err
@@ -332,6 +332,12 @@ func (k *Kernel) Clock() *vclock.Clock { return k.Host.Clock }
 
 // Costs exposes the cost model.
 func (k *Kernel) Costs() *vclock.Costs { return k.Host.Costs }
+
+// NewRootFS builds the in-memory filesystem a kernel mounts at / until
+// a root image replaces it, sized so df reports 4 GiB and 1Mi inodes.
+func NewRootFS() *storage.MemFS {
+	return storage.NewMemFS(storage.MemOptions{Blocks: 1 << 20, Inodes: 1 << 20})
+}
 
 // NowSec is the timestamp source handed to filesystems.
 func (k *Kernel) NowSec() uint64 { return uint64(k.Clock().Now() / time.Second) }

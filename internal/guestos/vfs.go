@@ -13,8 +13,8 @@ import (
 
 // FSNode is the inode contract the VFS walks; the canonical
 // definition now lives in internal/storage (Node). simplefs inodes
-// are adapted via sfsNode; ramfs implements it natively, and every
-// storage backend (memory, cow, cas, remote) mounts directly.
+// are adapted via sfsNode; every storage backend (memory, cow, cas,
+// remote) mounts directly, the in-memory root included.
 type FSNode = storage.Node
 
 // FileSystem is a mountable filesystem (storage.FS).

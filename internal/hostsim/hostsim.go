@@ -310,15 +310,6 @@ func (r *Regs) InstrPtr(a arch.Arch) uint64 {
 	return r.RIP
 }
 
-// SetInstrPtr stores the architecture's instruction pointer.
-func (r *Regs) SetInstrPtr(a arch.Arch, v uint64) {
-	if a == arch.ARM64 {
-		r.PC = v
-	} else {
-		r.RIP = v
-	}
-}
-
 // NewThread adds a thread to the process.
 func (p *Process) NewThread() *Thread {
 	p.mu.Lock()

@@ -51,14 +51,6 @@ type Sregs struct {
 	SCTLR, TTBR0, TTBR1, TCR uint64
 }
 
-// PageTableRoot returns the architecture's page-table base register.
-func (s Sregs) PageTableRoot(a arch.Arch) uint64 {
-	if a == arch.ARM64 {
-		return s.TTBR0
-	}
-	return s.CR3
-}
-
 // MemSlot is one guest physical memory slot.
 type MemSlot struct {
 	Slot uint32

@@ -100,9 +100,6 @@ func (tm *Telemetry) Stop() {
 	}
 }
 
-// Interval returns the sampling period.
-func (tm *Telemetry) Interval() time.Duration { return tm.interval }
-
 // Taken returns how many samples were ever taken (ring overwrites
 // included).
 func (tm *Telemetry) Taken() int64 {

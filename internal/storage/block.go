@@ -5,6 +5,7 @@ import (
 
 	"vmsh/internal/faults"
 	"vmsh/internal/fserr"
+	"vmsh/internal/vclock"
 )
 
 // Block-store backends. These model the storage *medium* below a
@@ -364,30 +365,30 @@ func (r *RemoteBlock) SupportsFUA() bool { return true }
 // SetQueueDepth implements BlockBackend.
 func (r *RemoteBlock) SetQueueDepth(qd int) { r.mirror.SetQueueDepth(qd) }
 
-func init() {
-	RegisterBlock("memory", func(cfg Config) (BlockBackend, error) {
-		if cfg.Base != nil {
-			return NewMemBlockFrom(cfg.Base)
-		}
-		return NewMemBlock(cfg.Size), nil
-	})
-	RegisterBlock("cow", func(cfg Config) (BlockBackend, error) {
-		if cfg.Base == nil {
-			return NewCowBlock(NewMemBlock(cfg.Size)), nil
-		}
+// Config wires a block store opened by name into the host's
+// deterministic planes: Base is the seed image whose current content
+// becomes the store's initial state; Clock, Costs, Faults and Taps
+// feed the remote backend's link (see LinkFromConfig).
+type Config struct {
+	Base   BlockBackend
+	Clock  *vclock.Clock
+	Costs  *vclock.Costs
+	Faults *faults.Injector
+	Taps   *faults.Taps
+}
+
+// OpenBlock constructs the named block-store backend over cfg.Base.
+func OpenBlock(name string, cfg Config) (BlockBackend, error) {
+	switch name {
+	case "memory":
+		return NewMemBlockFrom(cfg.Base)
+	case "cow":
 		return NewCowBlock(cfg.Base), nil
-	})
-	RegisterBlock("cas", func(cfg Config) (BlockBackend, error) {
-		if cfg.Base != nil {
-			return NewCasBlockFrom(cfg.Base)
-		}
-		return NewCasBlock(cfg.Size), nil
-	})
-	RegisterBlock("remote", func(cfg Config) (BlockBackend, error) {
-		base := cfg.Base
-		if base == nil {
-			base = NewMemBlock(cfg.Size)
-		}
-		return NewRemoteBlock(base, LinkFromConfig(cfg))
-	})
+	case "cas":
+		return NewCasBlockFrom(cfg.Base)
+	case "remote":
+		return NewRemoteBlock(cfg.Base, LinkFromConfig(cfg))
+	}
+	return nil, fmt.Errorf("storage: unknown block backend %q (have memory, cow, cas, remote): %w",
+		name, fserr.ErrNotSupported)
 }

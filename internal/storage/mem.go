@@ -50,14 +50,15 @@ func (s *plainStore) read(ref uint64) []byte { return s.pages[ref] }
 
 func (s *plainStore) free(ref uint64) { delete(s.pages, ref) }
 
+// maxName bounds entry names (simplefs parity).
+const maxName = 255
+
 // MemOptions tunes a MemFS instance.
 type MemOptions struct {
 	// Blocks caps data blocks (0 = 64Ki blocks, 256 MiB).
 	Blocks int64
 	// Inodes caps inode count (0 = Blocks/4).
 	Inodes int64
-	// MaxName bounds entry names (0 = 255, simplefs parity).
-	MaxName int
 	// CaseFold makes lookups case-insensitive (case-preserving), the
 	// conformance suite's CaseSensitive=false configuration.
 	CaseFold bool
@@ -90,9 +91,6 @@ func newMemFS(opt MemOptions, store pageStore) *MemFS {
 	}
 	if opt.Inodes == 0 {
 		opt.Inodes = opt.Blocks / 4
-	}
-	if opt.MaxName == 0 {
-		opt.MaxName = 255
 	}
 	fs := &MemFS{opt: opt, store: store, nextIno: 1,
 		quota: make(map[uint32]*QuotaUsage)}
@@ -205,7 +203,7 @@ func (n *memNode) checkName(name string) error {
 	if len(name) == 0 {
 		return fserr.ErrInvalid
 	}
-	if len(name) > n.fs.opt.MaxName {
+	if len(name) > maxName {
 		return fserr.ErrNameTooLong
 	}
 	return nil

@@ -25,22 +25,13 @@ type RemoteLink struct {
 	Taps   *faults.Taps
 }
 
-// LinkFromConfig assembles the link from a backend Config, falling
-// back to the cost model's RemoteOpLat/RemoteLinkBW.
+// LinkFromConfig assembles the link from a backend Config with the
+// cost model's RemoteOpLat/RemoteLinkBW.
 func LinkFromConfig(cfg Config) RemoteLink {
-	l := RemoteLink{
-		Clock: cfg.Clock, Lat: cfg.RemoteLat, BW: cfg.RemoteBW,
+	return RemoteLink{
+		Clock: cfg.Clock, Lat: cfg.Costs.RemoteOpLat, BW: cfg.Costs.RemoteLinkBW,
 		Faults: cfg.Faults, Taps: cfg.Taps,
 	}
-	if cfg.Costs != nil {
-		if l.Lat == 0 {
-			l.Lat = cfg.Costs.RemoteOpLat
-		}
-		if l.BW == 0 {
-			l.BW = cfg.Costs.RemoteLinkBW
-		}
-	}
-	return l
 }
 
 // xfer performs one remote operation: charge latency + bandwidth for
@@ -163,10 +154,4 @@ func (n *remoteNode) WriteAt(buf []byte, off int64) (int, error) {
 		return 0, err
 	}
 	return n.Node.WriteAt(buf, off)
-}
-
-func init() {
-	RegisterFS("remote", func(cfg Config) (FS, error) {
-		return NewRemoteFS(memOptFromConfig(cfg), LinkFromConfig(cfg)), nil
-	})
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -181,7 +182,7 @@ func TestBlockRegistrySeedsFromBase(t *testing.T) {
 		t.Fatalf("seed: %v", err)
 	}
 	for _, name := range []string{"memory", "cow", "cas", "remote"} {
-		blk, err := OpenBlock(name, Config{Base: base, Size: base.Size()})
+		blk, err := OpenBlock(name, Config{Base: base, Costs: vclock.Default()})
 		if err != nil {
 			t.Fatalf("open %s: %v", name, err)
 		}
@@ -196,11 +197,11 @@ func TestBlockRegistrySeedsFromBase(t *testing.T) {
 			t.Errorf("%s did not seed from base image", name)
 		}
 	}
-	if _, err := OpenBlock("nvme-of", Config{}); !errors.Is(err, fserr.ErrNotSupported) {
+	_, err := OpenBlock("nvme-of", Config{Base: base})
+	if !errors.Is(err, fserr.ErrNotSupported) {
 		t.Errorf("unknown block backend: %v, want ErrNotSupported", err)
-	}
-	if _, err := OpenFS("tmpfs9", Config{}); !errors.Is(err, fserr.ErrNotSupported) {
-		t.Errorf("unknown fs backend: %v, want ErrNotSupported", err)
+	} else if !strings.Contains(err.Error(), "memory, cow, cas, remote") {
+		t.Errorf("unknown block backend error does not list the backends: %v", err)
 	}
 }
 
@@ -351,24 +352,5 @@ func TestMemFSInodeAndBlockLimits(t *testing.T) {
 	}
 	if _, err := n.WriteAt(make([]byte, 4*PageSize), 0); err != nil {
 		t.Errorf("write at exactly the cap: %v", err)
-	}
-}
-
-func TestFSBackendsRegistry(t *testing.T) {
-	got := FSBackends()
-	want := map[string]bool{"memory": true, "cas": true, "cow": true, "remote": true}
-	for _, name := range got {
-		delete(want, name)
-	}
-	if len(want) != 0 {
-		t.Errorf("missing FS backends: %v (have %v)", want, got)
-	}
-	gotB := BlockBackends()
-	wantB := map[string]bool{"memory": true, "cas": true, "cow": true, "remote": true}
-	for _, name := range gotB {
-		delete(wantB, name)
-	}
-	if len(wantB) != 0 {
-		t.Errorf("missing block backends: %v (have %v)", wantB, gotB)
 	}
 }

@@ -8,7 +8,8 @@
 // Compared metrics are the deterministic virtual-time ones only: the
 // E5 fast-path counters (virtual time, process_vm calls, interrupts,
 // bytes moved per mode), the E9 fleet results (events, messages,
-// max vtime, determinism digest, per-shard vtimes) and the E11
+// max vtime, per-shard vtimes, and the determinism digest, which must
+// match exactly at any threshold) and the E11
 // migration sweep (downtime, total time, pages and bytes on the wire
 // per mode × dirty rate, plus the hash-equality / session-survival /
 // record-verify booleans, which regress at any threshold when lost).
@@ -237,10 +238,10 @@ func diff(oldDoc, newDoc *benchFile, thresholdPct float64) *report {
 			r.cmp("e9.messages", float64(o0.Messages), float64(n0.Messages), thresholdPct)
 			r.cmp("e9.max_vtime_ms", o0.MaxVTimeMS, n0.MaxVTimeMS, thresholdPct)
 			if o0.Digest != n0.Digest {
-				// Digest shifts whenever any simulated behaviour changes;
-				// a regression only when the scalar metrics moved too —
-				// otherwise record it for the human reading the log.
-				r.note("e9 digest changed: %s -> %s", o0.Digest, n0.Digest)
+				// The digest covers vtimes, RAM hashes and metrics, and
+				// the configuration is identical, so any change is a
+				// behaviour change: regenerate the baseline if intended.
+				r.regress("e9 digest changed: %s -> %s", o0.Digest, n0.Digest)
 			}
 		}
 		if len(of.VTimesMS) > 0 && len(nf.VTimesMS) > 0 {

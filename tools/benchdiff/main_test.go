@@ -83,8 +83,21 @@ func TestE9EventGrowthFails(t *testing.T) {
 		"runs":[{"workers":1,"events":600,"messages":8,"max_vtime_ms":900.5,"digest":"bbbb"}],
 		"vtimes_ms":[1.5,2.5],"deterministic":true}`
 	r := diff(mustParse(t, e9Base), mustParse(t, cand), 0)
+	if len(r.regressions) != 2 {
+		t.Fatalf("want events and digest regressions, got %v", r.regressions)
+	}
+}
+
+func TestE9DigestChangeFails(t *testing.T) {
+	// Same configuration, same scalar metrics, different digest: some
+	// simulated behaviour moved, which the bit-identical policy rejects
+	// at any threshold.
+	cand := `{"schema_version":2,"vms":100,"shards":8,"seed":42,
+		"runs":[{"workers":1,"events":500,"messages":8,"max_vtime_ms":900.5,"digest":"bbbb"}],
+		"vtimes_ms":[1.5,2.5],"deterministic":true}`
+	r := diff(mustParse(t, e9Base), mustParse(t, cand), 1000)
 	if len(r.regressions) != 1 {
-		t.Fatalf("want events regression, got %v", r.regressions)
+		t.Fatalf("want digest regression, got %v", r.regressions)
 	}
 }
 
