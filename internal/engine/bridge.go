@@ -40,15 +40,6 @@ type bridgeEnd struct {
 	track obs.Track // "bridge:<from>-><to>" on this shard's tracer
 }
 
-// Port returns the uplink port created on the given side's switch
-// (side 0 = the first switch passed to NewBridge, 1 = the second).
-func (br *Bridge) Port(side int) *netsim.Port {
-	if side == 0 {
-		return br.a.port
-	}
-	return br.b.port
-}
-
 // NewBridge creates the uplink port pair and wires both directions.
 // Each switch must be charged to its own shard's clock (the per-shard
 // host's clock); the link parameters apply to both uplink ports.

@@ -204,7 +204,6 @@ func (st *Stats) EventsPerSec() float64 {
 
 // Engine drives a fleet of shards over a worker pool.
 type Engine struct {
-	costs   *vclock.Costs
 	shards  []*Shard
 	workers int
 	stats   Stats
@@ -228,7 +227,7 @@ func NewWithCosts(n, workers int, costs *vclock.Costs) *Engine {
 		panic("engine: need at least one shard")
 	}
 	costs.MustValidate()
-	e := &Engine{costs: costs, workers: workers}
+	e := &Engine{workers: workers}
 	if e.workers < 1 {
 		e.workers = 1
 	}
@@ -246,9 +245,6 @@ func NewWithCosts(n, workers int, costs *vclock.Costs) *Engine {
 // Shards returns the shard count.
 func (e *Engine) Shards() int { return len(e.shards) }
 
-// Workers returns the worker-pool size.
-func (e *Engine) Workers() int { return e.workers }
-
 // SetWorkers resizes the worker pool (min 1). Worker count never
 // changes simulation results — only wall-clock speed.
 func (e *Engine) SetWorkers(n int) {
@@ -257,9 +253,6 @@ func (e *Engine) SetWorkers(n int) {
 	}
 	e.workers = n
 }
-
-// Costs returns the shared read-only cost model.
-func (e *Engine) Costs() *vclock.Costs { return e.costs }
 
 // Shard returns shard i.
 func (e *Engine) Shard(i int) *Shard { return e.shards[i] }

@@ -143,7 +143,7 @@ func (p *Proc) Open(path string, flags int, perm uint32) (*File, error) {
 	if k.OpenTrace != nil {
 		k.OpenTrace(abs)
 	}
-	f := k.openNode(m.FS, node, abs, flags)
+	f := k.openNode(m.FS, node, flags)
 	if flags&OTrunc != 0 && !node.IsDir() {
 		if err := f.Truncate(0); err != nil {
 			return nil, err
@@ -379,13 +379,6 @@ func (p *Proc) RemoveAll(path string) error {
 func (p *Proc) Sync() error {
 	p.k.Clock().Advance(p.k.Costs().GuestSyscall)
 	return p.k.syncNamespace(p.NS)
-}
-
-// Mount binds a filesystem in the process's namespace.
-func (p *Proc) Mount(fs FileSystem, path string) error {
-	p.k.Clock().Advance(p.k.Costs().GuestSyscall)
-	p.NS.AddMount(p.path(path), fs)
-	return nil
 }
 
 // WriteFile is a convenience: create/truncate and write content.

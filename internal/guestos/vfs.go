@@ -427,7 +427,6 @@ type File struct {
 	k      *Kernel
 	fs     FileSystem
 	node   FSNode
-	path   string
 	flags  int
 	pos    int64
 	cache  *fileCache
@@ -437,17 +436,14 @@ type File struct {
 // Node exposes the underlying inode.
 func (f *File) Node() FSNode { return f.node }
 
-// Path returns the path the file was opened with.
-func (f *File) Path() string { return f.path }
-
 // openNode builds a File over a resolved node. Filesystems with
 // dynamic content (procfs) opt out of the page cache entirely.
-func (k *Kernel) openNode(fs FileSystem, node FSNode, path string, flags int) *File {
+func (k *Kernel) openNode(fs FileSystem, node FSNode, flags int) *File {
 	direct := flags&ODirect != 0
 	if d, ok := fs.(interface{ DirectOnly() bool }); ok && d.DirectOnly() {
 		direct = true
 	}
-	f := &File{k: k, fs: fs, node: node, path: path, flags: flags, direct: direct}
+	f := &File{k: k, fs: fs, node: node, flags: flags, direct: direct}
 	if !f.direct {
 		f.cache = k.cacheFor(fs, node)
 	}

@@ -45,9 +45,6 @@ func (p *Process) Attach(target *Process) (*Tracer, error) {
 	return tr, nil
 }
 
-// Target returns the traced process.
-func (tr *Tracer) Target() *Process { return tr.target }
-
 func (tr *Tracer) check() error {
 	if tr.detached {
 		return ErrNotTraced

@@ -119,11 +119,23 @@ type Instance struct {
 
 	VMFDNum int
 	VCPUFDs []int
-	BlkDevs []*virtio.BlkDevice // hypervisor-owned devices, index 0 = root
-	NineP   *NinePFS
+	// Disks are the hypervisor-owned disks in creation order, root
+	// first.
+	Disks []*Disk
+	NineP *NinePFS
 
 	nextMMIO mem.GPA
 	nextGSI  uint32
+}
+
+// Disk is one hypervisor-owned disk: the host image file, the
+// hypervisor's virtio-blk device serving it and the guest driver
+// probed for it.
+type Disk struct {
+	Name string // guest device name, e.g. "vda"
+	File *hostsim.HostFile
+	Dev  *virtio.BlkDevice
+	Drv  *virtio.BlkDriver
 }
 
 // Launch builds the process, the KVM VM, boots the guest kernel and
@@ -196,20 +208,16 @@ func Launch(h *hostsim.Host, cfg Config) (*Instance, error) {
 		if size == 0 {
 			size = cfg.RootFS.Size() + 64<<20
 		}
-		if err := inst.addDisk("vda", size); err != nil {
-			return nil, err
-		}
-		hf, err := h.OpenFile(imageFileName(cfg.Name, "vda"))
+		d, err := inst.addDisk("vda", size)
 		if err != nil {
 			return nil, err
 		}
-		if err := fsimage.Build(blockdev.NewHostFileDevice(hf), cfg.RootFS); err != nil {
+		if err := fsimage.Build(blockdev.NewHostFileDevice(d.File), cfg.RootFS); err != nil {
 			return nil, fmt.Errorf("building root image: %w", err)
 		}
 		// The guest mounts its root through the virtio driver — every
 		// filesystem access from here on takes the full device path.
-		gdrv, _ := inst.GuestDisk("vda")
-		fs, err := mountSimpleFS(gdrv)
+		fs, err := mountSimpleFS(d.Drv)
 		if err != nil {
 			return nil, fmt.Errorf("mounting guest root: %w", err)
 		}
@@ -219,26 +227,22 @@ func Launch(h *hostsim.Host, cfg Config) (*Instance, error) {
 		}
 	}
 
-	for _, d := range cfg.ExtraDisks {
-		if err := inst.addDisk(d.GuestName, d.Size); err != nil {
+	for _, spec := range cfg.ExtraDisks {
+		d, err := inst.addDisk(spec.GuestName, spec.Size)
+		if err != nil {
 			return nil, err
 		}
-		if d.Mkfs {
-			hf, err := h.OpenFile(imageFileName(cfg.Name, d.GuestName))
-			if err != nil {
+		if spec.Mkfs {
+			if err := fsimage.Build(blockdev.NewHostFileDevice(d.File), fsimage.Manifest{}); err != nil {
 				return nil, err
 			}
-			if err := fsimage.Build(blockdev.NewHostFileDevice(hf), fsimage.Manifest{}); err != nil {
-				return nil, err
-			}
-			if d.MountAt != "" {
-				gdrv, _ := inst.GuestDisk(d.GuestName)
-				fs, err := mountSimpleFS(gdrv)
+			if spec.MountAt != "" {
+				fs, err := mountSimpleFS(d.Drv)
 				if err != nil {
 					return nil, err
 				}
 				fs.FS.NowFn = kern.NowSec
-				kern.InitProc.NS.AddMount(d.MountAt, fs)
+				kern.InitProc.NS.AddMount(spec.MountAt, fs)
 			}
 		}
 	}
@@ -279,22 +283,17 @@ func Launch(h *hostsim.Host, cfg Config) (*Instance, error) {
 	return inst, nil
 }
 
-// ImageFileName is the host filename a VM's disk image lives under;
-// lifecycle operations use it to locate and copy images across hosts.
-func ImageFileName(vmName, disk string) string { return vmName + "-" + disk + ".img" }
-
-func imageFileName(vmName, disk string) string { return ImageFileName(vmName, disk) }
-
-// addDisk creates a host image file, wires a hypervisor-owned
-// virtio-blk device at the next MMIO slot and probes the guest driver.
-func (inst *Instance) addDisk(guestName string, size int64) error {
+// addDisk creates the host image file <vm>-<disk>.img, wires a
+// hypervisor-owned virtio-blk device at the next MMIO slot, probes the
+// guest driver and records the three in inst.Disks.
+func (inst *Instance) addDisk(guestName string, size int64) (*Disk, error) {
 	h := inst.Host
-	file := h.CreateFile(imageFileName(inst.Proc.Name, guestName), size, true)
+	file := h.CreateFile(inst.Proc.Name+"-"+guestName+".img", size, true)
 	fdnum := inst.Proc.InstallFD(&hostsim.HostFileFD{File: file})
 
 	backend, err := newFileBackend(inst.Proc, uint64(fdnum), file)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	base := inst.nextMMIO
 	gsi := inst.nextGSI
@@ -308,11 +307,11 @@ func (inst *Instance) addDisk(guestName string, size int64) error {
 	sigHVA, err := inst.Proc.Syscall(hostsim.SysMmap, 0, 4096, 3,
 		hostsim.MapAnonymous|hostsim.MapPrivate, ^uint64(0), 0)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	evfdNum, err := inst.Proc.Syscall(hostsim.SysEventfd2, 0, 0)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	evfd, _ := inst.Proc.FD(int(evfdNum))
 	thisGSI := gsi
@@ -321,7 +320,6 @@ func (inst *Instance) addDisk(guestName string, size int64) error {
 	dev.SignalIRQ = func() {
 		_, _ = inst.Proc.Syscall(hostsim.SysWrite, evfdNum, sigHVA, 8)
 	}
-	inst.BlkDevs = append(inst.BlkDevs, dev)
 
 	// Guest side: probe the driver and register the named device.
 	env := &virtio.Env{
@@ -330,11 +328,13 @@ func (inst *Instance) addDisk(guestName string, size int64) error {
 	}
 	drv, err := virtio.ProbeBlk(env, base)
 	if err != nil {
-		return fmt.Errorf("guest probe of %s: %w", guestName, err)
+		return nil, fmt.Errorf("guest probe of %s: %w", guestName, err)
 	}
 	inst.Kernel.RegisterIRQ(gsi, drv.HandleIRQ)
 	inst.Kernel.RegisterBlockDev(guestName, drv)
-	return nil
+	d := &Disk{Name: guestName, File: file, Dev: dev, Drv: drv}
+	inst.Disks = append(inst.Disks, d)
+	return d, nil
 }
 
 // GuestDisk returns the guest-side driver for a named disk.

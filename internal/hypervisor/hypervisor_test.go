@@ -35,7 +35,7 @@ func TestLaunchBootsAndMountsRoot(t *testing.T) {
 	}
 	// The root really sits behind the virtio driver: the device saw
 	// requests.
-	if inst.BlkDevs[0].Requests == 0 {
+	if inst.Disks[0].Dev.Requests == 0 {
 		t.Fatal("root reads bypassed qemu-blk")
 	}
 }

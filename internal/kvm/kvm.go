@@ -150,14 +150,8 @@ func CreateVM(proc *hostsim.Process, name string) (*VM, int) {
 	return vm, fd
 }
 
-// Owner returns the hypervisor process.
-func (vm *VM) Owner() *hostsim.Process { return vm.owner }
-
 // Arch returns the VM's architecture (the hypervisor process's).
 func (vm *VM) Arch() arch.Arch { return vm.owner.Arch }
-
-// Host returns the host.
-func (vm *VM) Host() *hostsim.Host { return vm.host }
 
 // SetExecutor installs the guest executor (guestos).
 func (vm *VM) SetExecutor(e Executor) { vm.executor = e }
@@ -510,9 +504,6 @@ type VCPU struct {
 
 	pendingIRQ []uint32
 }
-
-// VM returns the owning VM.
-func (v *VCPU) VM() *VM { return v.vm }
 
 // GetRegs returns a copy of the register file.
 func (v *VCPU) GetRegs() hostsim.Regs {

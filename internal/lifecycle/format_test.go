@@ -113,6 +113,15 @@ func TestRestoreRejectsHostileIndices(t *testing.T) {
 		{"negative vcpu index", func(s *Snapshot) {
 			s.VCPUs = append(s.VCPUs, VCPUState{Index: -1})
 		}},
+		{"disk image for unknown disk", func(s *Snapshot) {
+			s.Disks = append(s.Disks, DiskImage{Name: "vdz", Size: PageSize})
+		}},
+		{"cursors for unknown disk", func(s *Snapshot) {
+			s.Cursors = append(s.Cursors, DiskCursors{Disk: "vdz"})
+		}},
+		{"ram hash count differs from memslots", func(s *Snapshot) {
+			s.RAMHashes = nil
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

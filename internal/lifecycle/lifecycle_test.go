@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"vmsh/internal/blockdev"
 	"vmsh/internal/core"
@@ -240,8 +241,8 @@ func TestMigratePostCopyStreamsOnDemand(t *testing.T) {
 		}
 		break
 	}
-	dp, ok := res.m.dstSlot(slot)
-	if !ok {
+	dp := slotPhys(res.Dst, slot)
+	if dp == nil {
 		t.Fatal("pending slot has no destination slab")
 	}
 	before := res.PagesFaulted
@@ -363,6 +364,14 @@ func TestMigrateErrorIsTyped(t *testing.T) {
 	if me.Phase != PhaseQuiesce || !errors.Is(err, ErrSessionNotQuiescable) {
 		t.Fatalf("wrong classification: phase=%s err=%v", me.Phase, err)
 	}
+	// A failed migration leaves neither dirty tracking on the source
+	// nor a destination twin running.
+	if log := inst.VM.DirtyLog(false); log != nil {
+		t.Fatalf("source dirty tracking still on after failed migrate: %v", log)
+	}
+	if pids := h2.Pids(); len(pids) != 0 {
+		t.Fatalf("destination twin still running after failed migrate: pids %v", pids)
+	}
 }
 
 func TestPostCopyDowntimeBeatsStopAndCopy(t *testing.T) {
@@ -389,5 +398,107 @@ func TestPostCopyDowntimeBeatsStopAndCopy(t *testing.T) {
 	pc := run(true)
 	if pc.Downtime >= sc.Downtime {
 		t.Fatalf("post-copy downtime %v not below stop-and-copy %v", pc.Downtime, sc.Downtime)
+	}
+}
+
+// launchWithData boots a VM with a root disk plus an 8 MiB simplefs
+// data disk mounted at /data, and writes and syncs one file on each.
+func launchWithData(t *testing.T, h *hostsim.Host, name string, seed int64) *hypervisor.Instance {
+	t.Helper()
+	inst, err := hypervisor.Launch(h, hypervisor.Config{
+		Kind:          hypervisor.QEMU,
+		Name:          name,
+		KernelVersion: "5.10",
+		RootFS:        fsimage.GuestRoot(name),
+		Seed:          seed,
+		RAMSize:       32 << 20,
+		ExtraDisks:    []hypervisor.DiskSpec{{GuestName: "vdb", Size: 8 << 20, Mkfs: true, MountAt: "/data"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := inst.NewGuestProc("writer")
+	if err := p.WriteFile("/data/kept", bytes.Repeat([]byte("data-disk "), 1000), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
+func checkDataFile(t *testing.T, inst *hypervisor.Instance) {
+	t.Helper()
+	got, err := inst.NewGuestProc("reader").ReadFile("/data/kept")
+	if err != nil {
+		t.Fatalf("/data/kept: %v", err)
+	}
+	if !bytes.Equal(got, bytes.Repeat([]byte("data-disk "), 1000)) {
+		t.Fatalf("/data/kept: %d bytes, wrong content", len(got))
+	}
+}
+
+// TestMultiDiskLifecycle pins snapshot and migration of a VM with a
+// second disk: the data disk's content survives Restore and Migrate,
+// and each migration mode's link charges (per-disk summaries and
+// blocks included) and times stay exactly as modelled.
+func TestMultiDiskLifecycle(t *testing.T) {
+	t.Run("restore", func(t *testing.T) {
+		inst := launchWithData(t, hostsim.NewHost(), "md-snap", 61)
+		snap, err := Take(inst, TakeOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.Disks) != 2 || len(snap.Cursors) != 2 {
+			t.Fatalf("captured %d disks, %d cursor pairs; want 2 each", len(snap.Disks), len(snap.Cursors))
+		}
+		inst2, _, err := Restore(hostsim.NewHost(), snap, RestoreOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDataFile(t, inst2)
+	})
+	for _, tc := range []struct {
+		name            string
+		postCopy        bool
+		bytes           int64
+		total, downtime time.Duration
+	}{
+		{"stop-and-copy", false, 723312, 10416019 * time.Nanosecond, 362201 * time.Nanosecond},
+		{"post-copy", true, 608400, 10324090 * time.Nanosecond, 270272 * time.Nanosecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inst := launchWithData(t, hostsim.NewHost(), "md-mig", 62)
+			res, err := Migrate(inst, hostsim.NewHost(), MigrateOpts{
+				PrecopyRounds: 1,
+				PostCopy:      tc.postCopy,
+				Workload: func(round int) {
+					dirty(t, inst, 16, byte(round))
+					// Disk writes after the initial sync move with the
+					// cutover's disk diff.
+					p := inst.NewGuestProc("late")
+					if err := p.WriteFile("/data/late", []byte{byte(round)}, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					if err := p.Sync(); err != nil {
+						t.Fatal(err)
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.BytesOnWire != tc.bytes || res.Total != tc.total || res.Downtime != tc.downtime {
+				t.Errorf("bytes=%d total=%v downtime=%v; want %d, %v, %v",
+					res.BytesOnWire, res.Total, res.Downtime, tc.bytes, tc.total, tc.downtime)
+			}
+			if err := res.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			checkDataFile(t, res.Dst)
+			if got, err := res.Dst.NewGuestProc("reader").ReadFile("/data/late"); err != nil || !bytes.Equal(got, []byte{2}) {
+				t.Fatalf("/data/late = %v, %v; want [2]", got, err)
+			}
+		})
 	}
 }

@@ -124,11 +124,17 @@ type migration struct {
 // exchange (8 bytes/page scanned) per synchronisation round — the
 // rsync-style "compare then ship differences" protocol the
 // deterministic twin boot makes possible.
+//
+// A failed migration stops the source's dirty tracking and, unless it
+// failed in the resume phase, ends the destination twin.
 func Migrate(src *hypervisor.Instance, dstHost *hostsim.Host, o MigrateOpts) (*Result, error) {
 	m := &migration{src: src, link: o.Link, res: &Result{}}
 	m.res.m = m
-	srcHost := src.Host
 	fail := func(phase string, err error) (*Result, error) {
+		src.VM.StopDirtyTracking()
+		if m.dst != nil && phase != PhaseResume {
+			dstHost.Exit(m.dst.Proc)
+		}
 		return nil, &MigrateError{Phase: phase, VM: src.Cfg.Name, Err: err}
 	}
 	tr := dstHost.Trace.Track("migrate:" + src.Cfg.Name)
@@ -140,7 +146,6 @@ func Migrate(src *hypervisor.Instance, dstHost *hostsim.Host, o MigrateOpts) (*R
 	src.VM.StartDirtyTracking()
 	dst, err := hypervisor.Launch(dstHost, src.Cfg)
 	if err != nil {
-		src.VM.StopDirtyTracking()
 		return fail(PhasePrepare, err)
 	}
 	m.dst = dst
@@ -164,10 +169,7 @@ func Migrate(src *hypervisor.Instance, dstHost *hostsim.Host, o MigrateOpts) (*R
 		if o.Workload != nil {
 			o.Workload(round)
 		}
-		moved, err := m.syncDirty(nil)
-		if err != nil {
-			return fail(PhasePrecopy, err)
-		}
+		moved := m.syncDirty()
 		m.res.PagesPrecopy += moved
 		m.res.Rounds = append(m.res.Rounds, RoundStat{Round: round, Pages: moved})
 		sp.End1("pages", int64(moved))
@@ -183,23 +185,12 @@ func Migrate(src *hypervisor.Instance, dstHost *hostsim.Host, o MigrateOpts) (*R
 	pauseStart := dstHost.Clock.Now()
 	var sessState *SessionState
 	if o.Session != nil {
-		img := o.Session.Image()
-		if img == nil {
-			return fail(PhaseQuiesce, ErrSessionNotQuiescable)
-		}
-		sessState = &SessionState{
-			ImageName: img.Name, ImageSize: img.Size(),
-			Storage: o.Session.StorageBackend(), Trap: int(o.Session.Trap()),
-		}
 		// Detach rolls the source guest back byte-identically; every
 		// store the rollback makes lands in the dirty log and moves
 		// with the final set.
-		if err := o.Session.Detach(); err != nil {
+		if sessState, err = quiesce(o.Session); err != nil {
 			return fail(PhaseQuiesce, err)
 		}
-		// The image content is read at cutover, after any final
-		// overlay writes were flushed by the detach.
-		sessState.Blocks = sparseBlocks(img.Bytes())
 	}
 
 	// --- cutover: stop_and_copy | postcopy --------------------------
@@ -214,7 +205,7 @@ func Migrate(src *hypervisor.Instance, dstHost *hostsim.Host, o MigrateOpts) (*R
 		m.pending = map[uint32]map[uint64]bool{}
 		total := 0
 		for slot, idxs := range m.src.VM.DirtyLog(true) {
-			if _, ok := m.dstSlot(slot); !ok {
+			if slotPhys(dst, slot) == nil {
 				continue
 			}
 			set := make(map[uint64]bool, len(idxs))
@@ -227,28 +218,14 @@ func Migrate(src *hypervisor.Instance, dstHost *hostsim.Host, o MigrateOpts) (*R
 		m.charge(total * 8) // pending-page summary
 		m.armPager()
 	} else {
-		moved, err := m.syncDirty(nil)
-		if err != nil {
-			return fail(cutPhase, err)
-		}
-		m.res.PagesCutover = moved
+		m.res.PagesCutover = m.syncDirty()
 	}
 	src.VM.StopDirtyTracking()
 	if err := m.syncDisks(); err != nil {
 		return fail(cutPhase, err)
 	}
-	for i, v := range src.VM.VCPUs() {
-		dv := dst.VM.VCPUs()
-		if i < len(dv) {
-			dv[i].SetRegs(v.GetRegs())
-			dv[i].SetSregs(v.GetSregs())
-		}
-	}
-	cur, err := diskCursors(src)
-	if err != nil {
-		return fail(cutPhase, err)
-	}
-	if err := applyCursors(dst, cur); err != nil {
+	vcpus, cur := cpuState(src)
+	if err := setCPUState(dst, vcpus, cur); err != nil {
 		return fail(cutPhase, err)
 	}
 	m.charge(1024) // register files + cursors, one small message
@@ -268,26 +245,14 @@ func Migrate(src *hypervisor.Instance, dstHost *hostsim.Host, o MigrateOpts) (*R
 	}
 
 	if sessState != nil {
-		img := dstHost.CreateFile(sessState.ImageName, sessState.ImageSize, false)
-		data := img.Bytes()
-		for _, b := range sessState.Blocks {
-			copy(data[b.Index*PageSize:], b.Data)
-		}
 		m.charge(len(sessState.Blocks) * (PageSize + 16))
-		sess, err := core.New(dstHost).Attach(dst.Proc.PID, core.Options{
-			Image:   img,
-			Trap:    core.TrapMode(sessState.Trap),
-			Storage: sessState.Storage,
-		})
-		if err != nil {
+		if m.res.Session, err = reattach(dst, sessState); err != nil {
 			return fail(PhaseResume, err)
 		}
-		m.res.Session = sess
 	}
 
 	m.res.Total = time.Duration(dstHost.Clock.Now() - t0)
 	spTotal.End1("downtime_us", int64(m.res.Downtime/time.Microsecond))
-	_ = srcHost
 	return m.res, nil
 }
 
@@ -313,9 +278,7 @@ func (r *Result) Drain() error {
 		return nil
 	}
 	for _, slot := range sortedKeys(m.pending) {
-		set := m.pending[slot]
-		idxs := sortedKeys(set)
-		for _, idx := range idxs {
+		for _, idx := range sortedKeys(m.pending[slot]) {
 			m.fetchPage(slot, idx)
 			r.PagesDrained++
 		}
@@ -337,40 +300,26 @@ func (r *Result) Drain() error {
 // post-copy remainder and stands on the resume-time comparison
 // instead of re-hashing.
 func (r *Result) Verify() error {
-	if r.m.pending != nil {
-		if err := r.Drain(); err != nil && err != ErrNoPending {
-			return err
-		}
-	}
+	_ = r.Drain() // ErrNoPending only says nothing was outstanding
 	if r.Session != nil {
 		return nil
 	}
-	r.SrcHashes, r.DstHashes = nil, nil
-	for _, sl := range slotsByNum(r.m.src) {
-		dp, ok := r.m.dstSlot(sl.Slot)
-		if !ok {
-			continue
-		}
-		sh, dh := digest.Sum(sl.Phys.Data), digest.Sum(dp.Data)
-		r.SrcHashes = append(r.SrcHashes, sh)
-		r.DstHashes = append(r.DstHashes, dh)
-		if sh != dh {
-			return &MigrateError{Phase: PhaseVerify, VM: r.m.src.Cfg.Name,
-				Err: fmt.Errorf("%w: memslot %d (%016x != %016x)", ErrRAMDiverged, sl.Slot, sh, dh)}
-		}
+	if err := r.m.verifyAtResume(); err != nil {
+		return &MigrateError{Phase: PhaseVerify, VM: r.m.src.Cfg.Name, Err: err}
 	}
 	return nil
 }
 
 // verifyAtResume is Migrate's own equality check, run at resume before
-// any session re-attach. Pages still pending in post-copy mode hash as
-// the source bytes that will be served for them — the source is frozen
-// from cutover on, so that is exactly what the wire will deliver.
+// any session re-attach, and Verify's once the drain has finished.
+// Pages still pending in post-copy mode hash as the source bytes that
+// will be served for them — the source is frozen from cutover on, so
+// that is exactly what the wire will deliver.
 func (m *migration) verifyAtResume() error {
 	m.res.SrcHashes, m.res.DstHashes = nil, nil
 	for _, sl := range slotsByNum(m.src) {
-		dp, ok := m.dstSlot(sl.Slot)
-		if !ok {
+		dp := slotPhys(m.dst, sl.Slot)
+		if dp == nil {
 			continue
 		}
 		sh := digest.Sum(sl.Phys.Data)
@@ -397,45 +346,25 @@ func (m *migration) charge(n int) {
 	m.res.BytesOnWire += int64(n)
 }
 
-// dstSlot finds the destination slab paired with a source slot number.
-// Slots without a destination twin (the vmsh library slot of a
-// still-attached session) stay source-local until detach removes them.
-func (m *migration) dstSlot(slot uint32) (*mem.Phys, bool) {
-	for _, s := range m.dst.VM.MemSlots() {
-		if s.Slot == slot {
-			return s.Phys, true
-		}
-	}
-	return nil, false
-}
-
-// syncDivergent memcmp-diffs every common slot page-by-page and ships
-// the differing pages: the initial full synchronisation. The scan is
-// priced as a page-summary exchange (8 bytes per page compared); the
-// differing pages ship at full size.
+// syncDivergent page-diffs every common slot and ships the differing
+// pages: the initial full synchronisation. The scan is priced as one
+// page-summary exchange over all slots (8 bytes per page compared);
+// the differing pages ship at full size. Slots without a destination
+// twin (the vmsh library slot of a still-attached session) stay
+// source-local until detach removes them.
 func (m *migration) syncDivergent() (int, error) {
-	moved := 0
-	scanned := 0
+	scanned, moved := 0, 0
 	for _, sl := range slotsByNum(m.src) {
-		dp, ok := m.dstSlot(sl.Slot)
-		if !ok {
+		dp := slotPhys(m.dst, sl.Slot)
+		if dp == nil {
 			continue
 		}
-		sdata, ddata := sl.Phys.Data, dp.Data
-		if len(sdata) != len(ddata) {
-			return 0, fmt.Errorf("memslot %d size differs (%d != %d)", sl.Slot, len(sdata), len(ddata))
+		s, n, err := diffPages(dp.Data, sl.Phys.Data)
+		if err != nil {
+			return 0, fmt.Errorf("memslot %d: %w", sl.Slot, err)
 		}
-		for off := 0; off < len(sdata); off += PageSize {
-			end := off + PageSize
-			if end > len(sdata) {
-				end = len(sdata)
-			}
-			scanned++
-			if !bytes.Equal(sdata[off:end], ddata[off:end]) {
-				copy(ddata[off:end], sdata[off:end])
-				moved++
-			}
-		}
+		scanned += s
+		moved += n
 	}
 	m.charge(scanned * 8)
 	m.charge(moved * (PageSize + 16))
@@ -443,78 +372,64 @@ func (m *migration) syncDivergent() (int, error) {
 }
 
 // syncDirty ships the source's current dirty set (read-and-clear) to
-// the destination. With skip non-nil, pages present in it are left
-// out (unused today; the post-copy path keeps its own pending set).
-func (m *migration) syncDirty(skip map[uint32]map[uint64]bool) (int, error) {
+// the destination.
+func (m *migration) syncDirty() int {
 	moved := 0
-	log := m.src.VM.DirtyLog(true)
-	for slot, idxs := range log {
-		dp, ok := m.dstSlot(slot)
-		if !ok {
-			continue
-		}
-		sp, ok := m.srcSlot(slot)
-		if !ok {
+	for slot, idxs := range m.src.VM.DirtyLog(true) {
+		sp, dp := slotPhys(m.src, slot), slotPhys(m.dst, slot)
+		if sp == nil || dp == nil {
 			continue
 		}
 		for _, idx := range idxs {
-			if skip != nil && skip[slot][idx] {
-				continue
+			if copyPage(dp.Data, sp.Data, idx) > 0 {
+				moved++
 			}
-			off := idx * PageSize
-			if off >= uint64(len(sp.Data)) {
-				continue
-			}
-			end := min(off+PageSize, uint64(len(sp.Data)))
-			copy(dp.Data[off:end], sp.Data[off:end])
-			moved++
 		}
 	}
 	m.charge(moved * (PageSize + 16))
-	return moved, nil
-}
-
-func (m *migration) srcSlot(slot uint32) (*mem.Phys, bool) {
-	for _, s := range m.src.VM.MemSlots() {
-		if s.Slot == slot {
-			return s.Phys, true
-		}
-	}
-	return nil, false
+	return moved
 }
 
 // syncDisks block-diffs every hypervisor disk image and ships the
-// differing blocks, priced like the page sync.
+// differing blocks, priced per disk like the page sync.
 func (m *migration) syncDisks() error {
-	for _, name := range diskNames(m.src.Cfg) {
-		sf, err := m.src.Host.OpenFile(hypervisor.ImageFileName(m.src.Cfg.Name, name))
+	for i, d := range m.src.Disks {
+		scanned, moved, err := diffPages(m.dst.Disks[i].File.Bytes(), d.File.Bytes())
 		if err != nil {
-			return fmt.Errorf("source disk %s: %w", name, err)
-		}
-		df, err := m.dst.Host.OpenFile(hypervisor.ImageFileName(m.src.Cfg.Name, name))
-		if err != nil {
-			return fmt.Errorf("destination disk %s: %w", name, err)
-		}
-		sdata, ddata := sf.Bytes(), df.Bytes()
-		if len(sdata) != len(ddata) {
-			return fmt.Errorf("disk %s size differs (%d != %d)", name, len(sdata), len(ddata))
-		}
-		scanned, moved := 0, 0
-		for off := 0; off < len(sdata); off += PageSize {
-			end := off + PageSize
-			if end > len(sdata) {
-				end = len(sdata)
-			}
-			scanned++
-			if !bytes.Equal(sdata[off:end], ddata[off:end]) {
-				copy(ddata[off:end], sdata[off:end])
-				moved++
-			}
+			return fmt.Errorf("disk %s: %w", d.Name, err)
 		}
 		m.charge(scanned * 8)
 		m.charge(moved * (PageSize + 16))
 	}
 	return nil
+}
+
+// diffPages copies every PageSize unit of src that differs from dst
+// into dst and counts the units compared and copied.
+func diffPages(dst, src []byte) (scanned, moved int, err error) {
+	if len(src) != len(dst) {
+		return 0, 0, fmt.Errorf("size differs (%d != %d)", len(src), len(dst))
+	}
+	for off := 0; off < len(src); off += PageSize {
+		end := min(off+PageSize, len(src))
+		scanned++
+		if !bytes.Equal(src[off:end], dst[off:end]) {
+			copy(dst[off:end], src[off:end])
+			moved++
+		}
+	}
+	return scanned, moved, nil
+}
+
+// copyPage copies PageSize unit idx of src into dst and returns the
+// bytes copied: zero when idx lies past src's end.
+func copyPage(dst, src []byte, idx uint64) int {
+	off := idx * PageSize
+	if off >= uint64(len(src)) {
+		return 0
+	}
+	end := min(off+PageSize, uint64(len(src)))
+	return copy(dst[off:end], src[off:end])
 }
 
 // armPager installs the demand-paging access hook on every destination
@@ -528,8 +443,8 @@ func (m *migration) armPager() {
 		if len(set) == 0 {
 			continue
 		}
-		dp, ok := m.dstSlot(slot)
-		if !ok {
+		dp := slotPhys(m.dst, slot)
+		if dp == nil {
 			continue
 		}
 		slot := slot
@@ -552,14 +467,10 @@ func (m *migration) armPager() {
 // fetchPage moves one pending page from source to destination and
 // removes it from the pending set. Charged as one page response.
 func (m *migration) fetchPage(slot uint32, idx uint64) {
-	sp, ok1 := m.srcSlot(slot)
-	dp, ok2 := m.dstSlot(slot)
-	if ok1 && ok2 {
-		off := idx * PageSize
-		if off < uint64(len(sp.Data)) {
-			end := min(off+PageSize, uint64(len(sp.Data)))
-			copy(dp.Data[off:end], sp.Data[off:end])
-			m.charge(int(end-off) + 16)
+	sp, dp := slotPhys(m.src, slot), slotPhys(m.dst, slot)
+	if sp != nil && dp != nil {
+		if n := copyPage(dp.Data, sp.Data, idx); n > 0 {
+			m.charge(n + 16)
 		}
 	}
 	delete(m.pending[slot], idx)

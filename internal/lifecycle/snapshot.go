@@ -15,14 +15,15 @@ package lifecycle
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"vmsh/internal/core"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/hypervisor"
+	"vmsh/internal/kvm"
 	"vmsh/internal/mem"
-	"vmsh/internal/virtio"
 )
 
 // PageSize is the RAM page and disk block granularity of snapshots and
@@ -51,56 +52,24 @@ func Take(inst *hypervisor.Instance, o TakeOpts) (*Snapshot, error) {
 		VTime:  int64(inst.Host.Clock.Now()),
 		Config: inst.Cfg,
 	}
-
 	if o.Session != nil {
-		img := o.Session.Image()
-		if img == nil {
-			return nil, fmt.Errorf("lifecycle snapshot: %w: minimal attach has no image", ErrSessionNotQuiescable)
-		}
-		s.Session = &SessionState{
-			ImageName: img.Name,
-			ImageSize: img.Size(),
-			Storage:   o.Session.StorageBackend(),
-			Trap:      int(o.Session.Trap()),
-			Blocks:    sparseBlocks(img.Bytes()),
-		}
 		// Quiesce before reading RAM: detach rolls the guest back to
 		// its pre-attach bytes, so the captured state is attach-free.
-		if err := o.Session.Detach(); err != nil {
+		st, err := quiesce(o.Session)
+		if err != nil {
 			return nil, fmt.Errorf("lifecycle snapshot: quiescing session: %w", err)
 		}
+		s.Session = st
 	}
-
-	for _, v := range inst.VM.VCPUs() {
-		s.VCPUs = append(s.VCPUs, VCPUState{Index: v.Index, Regs: v.GetRegs(), Sregs: v.GetSregs()})
-	}
-
-	cur, err := diskCursors(inst)
-	if err != nil {
-		return nil, err
-	}
-	s.Cursors = cur
-
+	s.VCPUs, s.Cursors = cpuState(inst)
 	for _, sl := range slotsByNum(inst) {
-		data := sl.Phys.Data
-		for off := uint64(0); off < uint64(len(data)); off += PageSize {
-			pg := data[off:min(off+PageSize, uint64(len(data)))]
-			if !allZero(pg) {
-				s.Pages = append(s.Pages, PageRecord{
-					Slot: sl.Slot, Index: off / PageSize,
-					Data: append([]byte(nil), pg...),
-				})
-			}
+		for _, b := range sparseBlocks(sl.Phys.Data) {
+			s.Pages = append(s.Pages, PageRecord{Slot: sl.Slot, Index: b.Index, Data: b.Data})
 		}
 	}
 	s.RAMHashes = inst.VM.RAMHashes()
-
-	for _, name := range diskNames(inst.Cfg) {
-		f, err := inst.Host.OpenFile(hypervisor.ImageFileName(inst.Cfg.Name, name))
-		if err != nil {
-			return nil, fmt.Errorf("lifecycle snapshot: disk %s: %w", name, err)
-		}
-		s.Disks = append(s.Disks, DiskImage{Name: name, Size: f.Size(), Blocks: sparseBlocks(f.Bytes())})
+	for _, d := range inst.Disks {
+		s.Disks = append(s.Disks, DiskImage{Name: d.Name, Size: d.File.Size(), Blocks: sparseBlocks(d.File.Bytes())})
 	}
 	return s, nil
 }
@@ -124,87 +93,56 @@ type RestoreOpts struct {
 // restarts from boot, which is indistinguishable for a guest quiesced
 // at capture.
 func Restore(h *hostsim.Host, s *Snapshot, o RestoreOpts) (*hypervisor.Instance, *core.Session, error) {
+	fail := func(err error) (*hypervisor.Instance, *core.Session, error) {
+		return nil, nil, fmt.Errorf("lifecycle restore: %w", err)
+	}
 	inst, err := hypervisor.Launch(h, s.Config)
 	if err != nil {
-		return nil, nil, fmt.Errorf("lifecycle restore: relaunch: %w", err)
+		return fail(fmt.Errorf("relaunch: %w", err))
 	}
 
-	slots := map[uint32]*mem.Phys{}
 	for _, sl := range inst.VM.MemSlots() {
-		slots[sl.Slot] = sl.Phys
-	}
-	for _, p := range slots {
-		clear(p.Data)
+		clear(sl.Phys.Data)
 	}
 	for _, pg := range s.Pages {
-		p, ok := slots[pg.Slot]
-		if !ok {
-			return nil, nil, fmt.Errorf("lifecycle restore: %w: page for unknown memslot %d", ErrSnapshotCorrupt, pg.Slot)
+		p := slotPhys(inst, pg.Slot)
+		if p == nil {
+			return fail(fmt.Errorf("%w: page for unknown memslot %d", ErrSnapshotCorrupt, pg.Slot))
 		}
-		off, ok := unitOffset(pg.Index, len(pg.Data), len(p.Data))
-		if !ok {
-			return nil, nil, fmt.Errorf("lifecycle restore: %w: page %d outside slot %d", ErrSnapshotCorrupt, pg.Index, pg.Slot)
+		if err := fill(p.Data, BlockRecord{Index: pg.Index, Data: pg.Data}); err != nil {
+			return fail(fmt.Errorf("memslot %d: %w", pg.Slot, err))
 		}
-		copy(p.Data[off:], pg.Data)
 	}
-
-	for _, vs := range s.VCPUs {
-		vcpus := inst.VM.VCPUs()
-		if vs.Index < 0 || vs.Index >= len(vcpus) {
-			return nil, nil, fmt.Errorf("lifecycle restore: %w: vcpu %d not present after relaunch", ErrSnapshotCorrupt, vs.Index)
-		}
-		vcpus[vs.Index].SetRegs(vs.Regs)
-		vcpus[vs.Index].SetSregs(vs.Sregs)
+	if err := setCPUState(inst, s.VCPUs, s.Cursors); err != nil {
+		return fail(err)
 	}
-
-	if err := applyCursors(inst, s.Cursors); err != nil {
-		return nil, nil, err
-	}
-
-	for _, d := range s.Disks {
-		f, err := h.OpenFile(hypervisor.ImageFileName(s.Config.Name, d.Name))
-		if err != nil {
-			return nil, nil, fmt.Errorf("lifecycle restore: disk %s: %w", d.Name, err)
+	for _, di := range s.Disks {
+		d := diskByName(inst, di.Name)
+		if d == nil {
+			return fail(fmt.Errorf("%w: image for unknown disk %q", ErrSnapshotCorrupt, di.Name))
 		}
-		data := f.Bytes()
+		data := d.File.Bytes()
 		clear(data)
-		for _, b := range d.Blocks {
-			off, ok := unitOffset(b.Index, len(b.Data), len(data))
-			if !ok {
-				return nil, nil, fmt.Errorf("lifecycle restore: %w: block %d outside disk %s", ErrSnapshotCorrupt, b.Index, d.Name)
-			}
-			copy(data[off:], b.Data)
+		if err := fill(data, di.Blocks...); err != nil {
+			return fail(fmt.Errorf("disk %s: %w", di.Name, err))
 		}
 	}
 
 	// Cross-check: the rebuilt RAM must hash exactly as captured.
-	for i, h := range inst.VM.RAMHashes() {
-		if i < len(s.RAMHashes) && h != s.RAMHashes[i] {
-			return nil, nil, fmt.Errorf("lifecycle restore: %w: memslot #%d", ErrRAMDiverged, i)
+	got := inst.VM.RAMHashes()
+	if len(got) != len(s.RAMHashes) {
+		return fail(fmt.Errorf("%w: %d RAM hashes for %d memslots", ErrSnapshotCorrupt, len(s.RAMHashes), len(got)))
+	}
+	for i := range got {
+		if got[i] != s.RAMHashes[i] {
+			return fail(fmt.Errorf("%w: memslot #%d", ErrRAMDiverged, i))
 		}
 	}
 
 	var sess *core.Session
 	if s.Session != nil && !o.SkipReattach {
-		if s.Session.ImageSize < 0 {
-			return nil, nil, fmt.Errorf("lifecycle restore: %w: negative session image size %d", ErrSnapshotCorrupt, s.Session.ImageSize)
-		}
-		img := h.CreateFile(s.Session.ImageName, s.Session.ImageSize, false)
-		data := img.Bytes()
-		for _, b := range s.Session.Blocks {
-			off, ok := unitOffset(b.Index, len(b.Data), len(data))
-			if !ok {
-				return nil, nil, fmt.Errorf("lifecycle restore: %w: block %d outside session image", ErrSnapshotCorrupt, b.Index)
-			}
-			copy(data[off:], b.Data)
-		}
-		sess, err = core.New(h).Attach(inst.Proc.PID, core.Options{
-			Image:   img,
-			Trap:    core.TrapMode(s.Session.Trap),
-			Storage: s.Session.Storage,
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("lifecycle restore: re-attach: %w", err)
+		if sess, err = reattach(inst, s.Session); err != nil {
+			return fail(fmt.Errorf("re-attach: %w", err))
 		}
 	}
 	return inst, sess, nil
@@ -212,80 +150,105 @@ func Restore(h *hostsim.Host, s *Snapshot, o RestoreOpts) (*hypervisor.Instance,
 
 // --- shared helpers (snapshot + migration) -------------------------
 
-// diskNames lists a config's hypervisor-owned disks in creation order.
-func diskNames(cfg hypervisor.Config) []string {
-	var names []string
-	if cfg.RootFS != nil {
-		names = append(names, "vda")
+// quiesce detaches a live session for capture and describes it: what
+// it served, how it was attached and its overlay image's content, read
+// after the detach flushed the session's final writes.
+func quiesce(sess *core.Session) (*SessionState, error) {
+	img := sess.Image()
+	if img == nil {
+		return nil, fmt.Errorf("%w: minimal attach has no image", ErrSessionNotQuiescable)
 	}
-	for _, d := range cfg.ExtraDisks {
-		names = append(names, d.GuestName)
+	st := &SessionState{
+		ImageName: img.Name,
+		ImageSize: img.Size(),
+		Storage:   sess.StorageBackend(),
+		Trap:      int(sess.Trap()),
 	}
-	return names
+	if err := sess.Detach(); err != nil {
+		return nil, err
+	}
+	st.Blocks = sparseBlocks(img.Bytes())
+	return st, nil
 }
 
-// diskCursors collects both queue ends' Go-side cursors per disk.
-func diskCursors(inst *hypervisor.Instance) ([]DiskCursors, error) {
-	names := diskNames(inst.Cfg)
-	var out []DiskCursors
-	for i, name := range names {
-		bd, ok := inst.Kernel.BlockDevByName(name)
-		if !ok {
-			return nil, fmt.Errorf("lifecycle: guest driver for %s not registered", name)
-		}
-		drv, ok := bd.(*virtio.BlkDriver)
-		if !ok {
-			return nil, fmt.Errorf("lifecycle: %s is not a virtio-blk driver", name)
-		}
-		if i >= len(inst.BlkDevs) {
-			return nil, fmt.Errorf("lifecycle: no hypervisor device for %s", name)
-		}
-		dq := inst.BlkDevs[i].Dev.DeviceQueue(0)
-		out = append(out, DiskCursors{Disk: name, Drv: drv.Queue().Cursors(), Dev: dq.Cursors()})
+// reattach materialises a quiesced session's overlay image on inst's
+// host and attaches an equivalent session to inst.
+func reattach(inst *hypervisor.Instance, st *SessionState) (*core.Session, error) {
+	if st.ImageSize < 0 {
+		return nil, fmt.Errorf("%w: negative session image size %d", ErrSnapshotCorrupt, st.ImageSize)
 	}
-	return out, nil
+	img := inst.Host.CreateFile(st.ImageName, st.ImageSize, false)
+	if err := fill(img.Bytes(), st.Blocks...); err != nil {
+		return nil, fmt.Errorf("session image: %w", err)
+	}
+	return core.New(inst.Host).Attach(inst.Proc.PID, core.Options{
+		Image:   img,
+		Trap:    core.TrapMode(st.Trap),
+		Storage: st.Storage,
+	})
 }
 
-// applyCursors restores both queue ends' cursors per disk.
-func applyCursors(inst *hypervisor.Instance, cur []DiskCursors) error {
+// cpuState captures every vCPU's register file and both queue ends'
+// Go-side cursors of every disk.
+func cpuState(inst *hypervisor.Instance) ([]VCPUState, []DiskCursors) {
+	var vcpus []VCPUState
+	for _, v := range inst.VM.VCPUs() {
+		vcpus = append(vcpus, VCPUState{Index: v.Index, Regs: v.GetRegs(), Sregs: v.GetSregs()})
+	}
+	var cur []DiskCursors
+	for _, d := range inst.Disks {
+		cur = append(cur, DiskCursors{Disk: d.Name, Drv: d.Drv.Queue().Cursors(), Dev: d.Dev.Dev.DeviceQueue(0).Cursors()})
+	}
+	return vcpus, cur
+}
+
+// setCPUState applies what cpuState captured. A vCPU or disk the
+// instance does not have is corruption.
+func setCPUState(inst *hypervisor.Instance, vcpus []VCPUState, cur []DiskCursors) error {
+	vs := inst.VM.VCPUs()
+	for _, v := range vcpus {
+		if v.Index < 0 || v.Index >= len(vs) {
+			return fmt.Errorf("%w: vcpu %d not present after relaunch", ErrSnapshotCorrupt, v.Index)
+		}
+		vs[v.Index].SetRegs(v.Regs)
+		vs[v.Index].SetSregs(v.Sregs)
+	}
 	for _, c := range cur {
-		bd, ok := inst.Kernel.BlockDevByName(c.Disk)
-		if !ok {
-			return fmt.Errorf("lifecycle: guest driver for %s not present after relaunch", c.Disk)
+		d := diskByName(inst, c.Disk)
+		if d == nil {
+			return fmt.Errorf("%w: cursors for unknown disk %q", ErrSnapshotCorrupt, c.Disk)
 		}
-		drv, ok := bd.(*virtio.BlkDriver)
-		if !ok {
-			return fmt.Errorf("lifecycle: %s is not a virtio-blk driver", c.Disk)
-		}
-		drv.Queue().SetCursors(c.Drv)
-		idx := -1
-		for i, name := range diskNames(inst.Cfg) {
-			if name == c.Disk {
-				idx = i
-			}
-		}
-		if idx < 0 || idx >= len(inst.BlkDevs) {
-			return fmt.Errorf("lifecycle: no hypervisor device for %s", c.Disk)
-		}
-		inst.BlkDevs[idx].Dev.DeviceQueue(0).SetCursors(c.Dev)
+		d.Drv.Queue().SetCursors(c.Drv)
+		d.Dev.Dev.DeviceQueue(0).SetCursors(c.Dev)
 	}
 	return nil
 }
 
-// slotsByNum snapshots the memslot list sorted by slot number, so
-// hash order is stable regardless of registration order.
-func slotsByNum(inst *hypervisor.Instance) []*kvmSlot {
-	var out []*kvmSlot
-	for _, s := range inst.VM.MemSlots() {
-		out = append(out, &kvmSlot{Slot: s.Slot, Phys: s.Phys})
+func diskByName(inst *hypervisor.Instance, name string) *hypervisor.Disk {
+	for _, d := range inst.Disks {
+		if d.Name == name {
+			return d
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Slot < out[j].Slot })
+	return nil
+}
+
+// slotsByNum lists the memslots sorted by slot number, so hash order
+// is stable regardless of registration order.
+func slotsByNum(inst *hypervisor.Instance) []*kvm.MemSlot {
+	out := inst.VM.MemSlots()
+	slices.SortFunc(out, func(a, b *kvm.MemSlot) int { return cmp.Compare(a.Slot, b.Slot) })
 	return out
 }
 
-type kvmSlot struct {
-	Slot uint32
-	Phys *mem.Phys
+// slotPhys returns the slab behind memslot slot, nil if inst has none.
+func slotPhys(inst *hypervisor.Instance, slot uint32) *mem.Phys {
+	for _, s := range inst.VM.MemSlots() {
+		if s.Slot == slot {
+			return s.Phys
+		}
+	}
+	return nil
 }
 
 // sparseBlocks captures the non-zero PageSize blocks of data.
@@ -298,6 +261,20 @@ func sparseBlocks(data []byte) []BlockRecord {
 		}
 	}
 	return out
+}
+
+// fill writes blocks into data at their PageSize unit offsets. Each
+// index is bounded before the multiply, so a hostile one can neither
+// wrap past the check nor write out of range.
+func fill(data []byte, blocks ...BlockRecord) error {
+	size := uint64(len(data))
+	for _, b := range blocks {
+		if b.Index > size/PageSize || b.Index*PageSize+uint64(len(b.Data)) > size {
+			return fmt.Errorf("%w: block %d outside %d bytes", ErrSnapshotCorrupt, b.Index, size)
+		}
+		copy(data[b.Index*PageSize:], b.Data)
+	}
+	return nil
 }
 
 var zeroPage [PageSize]byte
@@ -315,15 +292,4 @@ func allZero(b []byte) bool {
 		}
 	}
 	return true
-}
-
-// unitOffset returns the byte offset of PageSize unit idx and whether n
-// bytes written there fit in a size-byte buffer. idx is bounded before
-// the multiply so a hostile index cannot wrap past the check.
-func unitOffset(idx uint64, n, size int) (uint64, bool) {
-	if idx > uint64(size)/PageSize {
-		return 0, false
-	}
-	off := idx * PageSize
-	return off, off+uint64(n) <= uint64(size)
 }

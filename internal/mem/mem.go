@@ -205,12 +205,6 @@ type PhysVecWriter interface {
 	WritePhysVec(vecs []Vec) error
 }
 
-// PhysVecIO combines both vectored directions.
-type PhysVecIO interface {
-	PhysVecReader
-	PhysVecWriter
-}
-
 // ReadVec reads every segment through r, using the vectored fast path
 // when r implements PhysVecReader and falling back to per-segment
 // scalar reads otherwise. Callers can thus batch unconditionally.
@@ -302,6 +296,3 @@ func (a *BumpAlloc) AllocPages(n int) (GPA, error) {
 
 // Used reports how many bytes have been handed out.
 func (a *BumpAlloc) Used() uint64 { return uint64(a.next) }
-
-// Next returns the next GPA that would be allocated.
-func (a *BumpAlloc) Next() GPA { return a.next }

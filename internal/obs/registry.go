@@ -56,7 +56,6 @@ const HistBuckets = 44
 // is lock-free and allocation-free: one bits.Len64 plus two atomic
 // adds. A nil *Histogram drops everything.
 type Histogram struct {
-	name    string
 	buckets [HistBuckets]atomic.Int64
 	count   atomic.Int64
 	sum     atomic.Int64 // ns
@@ -133,14 +132,6 @@ func (h *Histogram) Bucket(i int) int64 {
 	return h.buckets[i].Load()
 }
 
-// Name returns the registered name.
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
-}
-
 // Registry holds named counters and histograms. Registration takes a
 // lock and may allocate; the returned handles are lock-free. Names are
 // dotted paths ("host.procvm.calls", "blk.req_vlat").
@@ -185,7 +176,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if h, ok := r.hists[name]; ok {
 		return h
 	}
-	h := &Histogram{name: name}
+	h := &Histogram{}
 	r.hists[name] = h
 	return h
 }

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -157,19 +155,4 @@ func (tm *Telemetry) Keys() []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// WriteText renders the retained series deterministically: one line
-// per sample per sorted key. Intended for examples and debugging, not
-// machine parsing (use Samples/Series for that).
-func (tm *Telemetry) WriteText(sb *strings.Builder, keys ...string) {
-	samples := tm.Samples()
-	if len(keys) == 0 {
-		keys = tm.Keys()
-	}
-	for _, s := range samples {
-		for _, k := range keys {
-			fmt.Fprintf(sb, "%12s %s=%d\n", s.VTime, k, s.Values[k])
-		}
-	}
 }

@@ -219,9 +219,6 @@ func Mount(dev blockdev.Device) (*FS, error) {
 	return f, nil
 }
 
-// Device returns the underlying block device.
-func (f *FS) Device() blockdev.Device { return f.dev }
-
 // --- block cache -----------------------------------------------------
 
 func (f *FS) block(n uint32) (*cblock, error) {

@@ -43,9 +43,6 @@ func NewMemBlockFrom(base BlockBackend) (*MemBlock, error) {
 	return m, nil
 }
 
-// Bytes exposes the backing array (tests, image builders).
-func (m *MemBlock) Bytes() []byte { return m.data }
-
 // ReadAt implements BlockBackend.
 func (m *MemBlock) ReadAt(off int64, buf []byte) error {
 	if err := checkRange(m.Size(), off, len(buf)); err != nil {

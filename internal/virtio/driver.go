@@ -414,10 +414,6 @@ func (d *BlkDriver) SetQueueDepth(qd int) {
 	d.qd = qd
 }
 
-// QueueDepth returns the configured depth (used by backends that
-// amortise latency).
-func (d *BlkDriver) QueueDepth() int { return d.qd }
-
 // Queue exposes the driver's virtqueue so lifecycle operations can
 // save and restore its Go-side cursors (CursorState); the ring bytes
 // themselves travel with guest RAM.
